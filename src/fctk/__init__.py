@@ -48,7 +48,6 @@ from .poly import (
     ModelParams,
     build_f,
     build_p,
-    eval_bigfloat,
     eval_exact,
     poly_from_json,
     poly_to_json,
@@ -95,7 +94,6 @@ __all__ = [
     "contour_eval",
     "cosine_approximant",
     "empirical_cdf",
-    "eval_bigfloat",
     "eval_exact",
     "f_phase",
     "f_phase_deriv",

@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
+import numpy as np
 
 from . import geometry, poly
 from .errors import DomainError, NonConvergence
@@ -31,6 +32,10 @@ from .poly import ExactPolynomial, ModelParams
 # absolute error budget it must meet on the normalized scale.
 RHO_APPROX_DENOMINATOR_CAP = 10**40
 RHO_APPROX_ERROR_BUDGET = 1e-30
+
+# Bisection steps of zero_separators: the angle bracket pi/(r+1) halves
+# down to double-precision resolution.
+SEPARATOR_BISECTIONS = 60
 
 # Flagship grid reproduction: r=3, nu=(2,4,5), n=150 on [0.5 pi/4, 0.55 pi/4].
 FIG1_PARAMS = ModelParams(r=3, nu=(2, 4, 5), n=150)
@@ -99,6 +104,40 @@ def cosine_approximant(params: ModelParams, c: PhiCoordinate) -> float:
     _match(params, c)
     with mp.workprec(128):
         return float(mp.cos(_cos_argument(params, mp.mpf(c.phi))))
+
+
+def zero_separators(params: ModelParams) -> np.ndarray:
+    """Increasing x_k = rho(phi_k) with n f(phi_k) - g(r, nu, phi_k) = k pi, k = 1..n-1.
+
+    These are the extrema of cosine_approximant, so the oscillatory
+    formula puts one zero of F_n(n^r x) in each gap between consecutive
+    points, one below the first and one above the last.  The phase
+    n f - g runs from -pi/4 at phi = 0 past n pi at phi = pi/(r+1), and
+    one vectorized bisection in phi finds all n - 1 crossings.
+    """
+    r, n = params.r, params.n
+    target = np.pi * np.arange(1, max(n, 1))
+    lo = np.zeros_like(target)
+    hi = np.full_like(target, np.pi / (r + 1))
+    for _ in range(SEPARATOR_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        phase = n * geometry.f_at(r, mid, np) - geometry.g_shift_at(r, params.nu, mid, np)
+        below = phase < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    x = geometry.rho_at(r, 0.5 * (lo + hi), np)[::-1]
+    if x.size == 0:
+        return x
+    # round each point to a multiple of a power of two at most 1/8 of the
+    # gaps beside it: the points move by 1/16 of a gap at most, and the
+    # exact evaluations at them and at the refinement's grid points, whose
+    # cost grows with their bit length, stay cheap
+    gaps = np.diff(x, prepend=0.0)
+    near = np.minimum(gaps, np.append(gaps[1:], np.inf))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a gap <= 0 yields nan, which isolate_zeros takes as no certificate
+        step = np.exp2(np.floor(np.log2(near / 8)))
+        return np.round(x / step) * step
 
 
 def pr_prefactor_log(params: ModelParams, c: PhiCoordinate) -> PRValue:

@@ -88,7 +88,9 @@ def cmd_poly(parser, args) -> int:
 def cmd_zeros(parser, args) -> int:
     params = _params(parser, args)
     rescaled = poly.rescale_arg(poly.build_f(params), params)
-    enclosures = zeros.isolate_zeros(rescaled, args.tol)
+    enclosures = zeros.isolate_zeros(
+        rescaled, args.tol, separators=asymptotics.zero_separators(params)
+    )
     if args.ks:
         measure = zeros.EmpiricalMeasure(tuple(float(e.mid) for e in enclosures))
         dist = fuss_catalan.FussCatalanDist(params.r)

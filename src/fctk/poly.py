@@ -8,8 +8,9 @@ together with its monic companion P_n = (-1)^n prod_j (n + nu_j)! F_n.
 Coefficients are kept as exact rationals: the alternating sum loses all
 significance in fixed precision once n is moderately large and the
 argument is of order n^r, so every downstream oracle (root isolation,
-contour quadrature, normalized-polynomial plots) evaluates through this
-module's exact or escalating big-float paths.
+contour quadrature, normalized-polynomial plots) evaluates through the
+exact integer kernel here: the lcm-scaled integer coefficients, computed
+once per polynomial, and a homogeneous Horner over the integers.
 """
 
 from __future__ import annotations
@@ -18,14 +19,11 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import NonConvergence
-
-# Escalation for eval_bigfloat starts here and doubles until the cap.
-START_PRECISION_BITS = 128
 DEFAULT_PRECISION_CAP_BITS = 16384
 
 
@@ -79,6 +77,12 @@ class ExactPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    @cached_property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(A, L) with coeffs[k] == A[k] / L, L the lcm of the denominators."""
+        lcm = math.lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (lcm // c.denominator) for c in self.coeffs), lcm
+
 
 def build_f(params: ModelParams) -> ExactPolynomial:
     """Exact coefficients (-1)^k binom(n,k) / prod_j (k + nu_j)!."""
@@ -108,12 +112,19 @@ def rescale_arg(poly: ExactPolynomial, params: ModelParams) -> ExactPolynomial:
 
 
 def eval_exact(poly: ExactPolynomial, x) -> Fraction:
-    """Horner evaluation over the rationals; no rounding anywhere."""
+    """Exact value at a rational x = N/D, with one reduction at the end.
+
+    Horner over the integers gives sum_k A_k N^k D^(n-k), so the value is
+    that integer over L D^n; no rounding anywhere.
+    """
     x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(poly.coeffs):
-        acc = acc * x + c
-    return acc
+    num, den = x.numerator, x.denominator
+    ints, lcm = poly.integer_form
+    acc, den_pow = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        den_pow *= den
+        acc = acc * num + c * den_pow
+    return Fraction(acc, lcm * den_pow)
 
 
 def _to_fraction(x) -> Fraction:
@@ -131,49 +142,6 @@ def _to_fraction(x) -> Fraction:
         q = Fraction(man, 1) * Fraction(2) ** exp
         return -q if sign else q
     raise TypeError(f"unsupported evaluation point type {type(x)!r}")
-
-
-def bigfloat(value, precision_bits: int = START_PRECISION_BITS) -> mp.mpf:
-    """Round an exact rational (or float) to an mpf at the given precision."""
-    q = _to_fraction(value)
-    with mp.workprec(precision_bits):
-        return mp.mpf(q.numerator) / q.denominator
-
-
-def eval_bigfloat(poly: ExactPolynomial, x, precision_bits: int = START_PRECISION_BITS) -> mp.mpf:
-    """Evaluate with escalating precision until two rounds agree.
-
-    The evaluation point is taken exactly (floats and mpf values are
-    dyadic rationals).  Working precision doubles from 128 bits until two
-    successive Horner evaluations agree to 2^(-precision_bits/2) relative
-    error, which also pins the sign for any nonzero value.  Hitting the
-    precision cap raises NonConvergence: the point is then within
-    cap-resolution of a root and the caller should fall back to
-    eval_exact on a rational approximant.
-    """
-    if precision_bits < 64:
-        raise ValueError("precision_bits must be at least 64")
-    xq = _to_fraction(x)
-    cap = precision_cap_bits()
-    target = Fraction(1, 2 ** (precision_bits // 2))
-    prev = None
-    prec = START_PRECISION_BITS
-    while prec <= cap:
-        with mp.workprec(prec):
-            xv = mp.mpf(xq.numerator) / xq.denominator
-            acc = mp.mpf(0)
-            for c in reversed(poly.coeffs):
-                acc = acc * xv + mp.mpf(c.numerator) / c.denominator
-        if prev is not None and acc != 0 and prev != 0:
-            if abs(acc - prev) <= float(target) * abs(acc):
-                with mp.workprec(precision_bits):
-                    return +acc
-        prev = acc
-        prec *= 2
-    raise NonConvergence(
-        f"no agreement below {cap} bits; evaluation point is within "
-        f"cap-resolution of a root"
-    )
 
 
 def poly_to_json(params: ModelParams, poly: ExactPolynomial) -> str:

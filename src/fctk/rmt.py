@@ -30,14 +30,19 @@ class SpectrumSample:
     params: ModelParams
     values: np.ndarray
     seed: int
+    trial: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
 
-def sample_spectrum(params: ModelParams, seed: int, scale: float = 1.0) -> SpectrumSample:
+def sample_spectrum(
+    params: ModelParams, seed: int, scale: float = 1.0, trial: int = 0
+) -> SpectrumSample:
     """One draw of the n rescaled squared singular values.
 
+    Draw `trial` of `seed` takes its Gaussians from the streams
+    rng.stream_id(trial, i), so draws of one seed never share a stream.
     scale multiplies every matrix entry (spectra transform as
     |scale|^(2r)); it exists for the covariance check and defaults to 1.
     """
@@ -47,7 +52,7 @@ def sample_spectrum(params: ModelParams, seed: int, scale: float = 1.0) -> Spect
     y = None
     for j in range(1, params.r + 1):
         x = rng.complex_gaussians(
-            seed, (dims[j], dims[j - 1]), stream=_STREAMS_PER_FACTOR * j
+            seed, (dims[j], dims[j - 1]), stream=rng.stream_id(trial, _STREAMS_PER_FACTOR * j)
         )
         if scale != 1.0:
             x = scale * x
@@ -55,17 +60,17 @@ def sample_spectrum(params: ModelParams, seed: int, scale: float = 1.0) -> Spect
     try:
         singular = np.linalg.svd(y, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise DecompositionFailure(f"SVD failed for seed {seed}: {exc}") from exc
+        raise DecompositionFailure(f"SVD failed for seed {seed} trial {trial}: {exc}") from exc
     values = np.sort(singular * singular) / float(params.n) ** params.r
-    return SpectrumSample(params=params, values=values, seed=seed)
+    return SpectrumSample(params=params, values=values, seed=seed, trial=trial)
 
 
 def aggregate_measure(params: ModelParams, trials: int, seed: int) -> EmpiricalMeasure:
-    """Pool `trials` independent spectra; trial t uses seed + t."""
+    """Pool `trials` independent spectra: draws 0..trials-1 of `seed`."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     pooled = np.concatenate(
-        [sample_spectrum(params, seed + t).values for t in range(trials)]
+        [sample_spectrum(params, seed, trial=t).values for t in range(trials)]
     )
     return EmpiricalMeasure(tuple(np.sort(pooled)))
 

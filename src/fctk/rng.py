@@ -1,7 +1,16 @@
 """Reproducible random streams on a counter-based generator.
 
-Streams are keyed by (seed, stream-index) pairs fed to a 64-bit Philox
-counter generator, so parallel draws are deterministic across platforms.
+Streams are keyed by (seed, stream) pairs fed to a 64-bit Philox counter
+generator, so parallel draws are deterministic across platforms.  The
+two 64-bit key words are
+
+    word 0: seed (its low 64 bits)
+    word 1: stream = (trial << 32) | index,
+
+where index (below 2^32) numbers the streams one draw consumes and
+trial (below 2^32) numbers the independent draws made under one seed
+(see stream_id).  Distinct (seed, trial, index) triples therefore never
+share a stream, so runs with neighbouring seeds share no draw.
 Uniforms come from the generator's 53-bit mantissa path; Gaussians are
 produced by an explicit Box-Muller transform on those uniforms.
 """
@@ -11,6 +20,14 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_INDEX_BITS = 32
+
+
+def stream_id(trial: int, index: int) -> int:
+    """Key word 1 for stream `index` of draw `trial`: (trial << 32) | index."""
+    if not (0 <= trial < 1 << _INDEX_BITS and 0 <= index < 1 << _INDEX_BITS):
+        raise ValueError(f"trial and index must lie in [0, 2^32), got {trial}, {index}")
+    return (trial << _INDEX_BITS) | index
 
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:

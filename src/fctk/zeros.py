@@ -3,12 +3,34 @@
 Every decision is made in exact integer or rational arithmetic: the
 coefficients span hundreds of orders of magnitude after the n^r
 rescaling, so floating point cannot certify sign-variation counts.  The
-isolator is a Descartes bisection over dyadic intervals (reverse the
-coefficients, Taylor-shift by one, count sign variations); an interval
-with count one encloses exactly one simple root, and count subadditivity
-under splitting prunes the sibling when the left child inherits the full
-count.  Positive roots are swept in doubling segments (0,1), (1,2),
+sign at a point comes from one integer kernel, the homogeneous Horner
+sum of the lcm-scaled coefficients (ExactPolynomial.integer_form) at a
+dyadic point.
+
+Certificate.  The oscillatory formula puts one zero of F_n(n^r x)
+between consecutive extrema of its cosine approximant
+(asymptotics.zero_separators).  Given such separators, the isolator
+takes the exact signs at 0, at every separator and at the root bound
+2^F; n strict sign changes of a degree-n polynomial prove exactly one
+simple root in each of those n gaps, so no square-free test and no
+Descartes count is needed.
+
+Fallback.  A zero sign, a separator that is not finite or not
+increasing, or fewer than n sign changes (offsets large against n move
+the zeros near the hard edge x -> 0 past the separators) fall back to a
+square-free test and Descartes bisection over dyadic intervals (reverse
+the coefficients, Taylor-shift by one, count sign variations).  An
+interval with count one encloses exactly one simple root, and count
+subadditivity under splitting prunes the sibling when the left child
+inherits the full count.  Positive roots are swept in doubling segments (0,1), (1,2),
 (2,4), ... so the bracket never balloons to the Cauchy bound.
+
+Refinement.  Both paths shrink their brackets with quadratic interval
+refinement (J. Abbott, "Quadratic interval refinement for real roots",
+2006): exact secant steps on a dyadic grid, kept only where the exact
+signs at a cell's ends differ, with a bisection step on a miss.  The
+bracket sequence does not depend on the tolerance, which only decides
+where it stops.
 """
 
 from __future__ import annotations
@@ -19,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
+from .asymptotics import zero_separators
 from .errors import IsolationFailure, NotSquareFree
 from .fuss_catalan import FussCatalanDist
 from .geometry import f_at, rho_inv, x_star
@@ -64,11 +87,6 @@ class EmpiricalMeasure:
 
 # ---------------------------------------------------------------------------
 # exact integer kernel
-
-def _integer_coeffs(poly: ExactPolynomial) -> list[int]:
-    lcm = math.lcm(*(c.denominator for c in poly.coeffs))
-    return [int(c * lcm) for c in poly.coeffs]
-
 
 def _taylor_shift1(a: list[int]) -> list[int]:
     """Coefficients of p(x + 1); each pass is a C-level suffix accumulation."""
@@ -205,28 +223,16 @@ def _square_free(a: list[int]) -> bool:
     return len(fa) <= 1
 
 
-def isolate_zeros(poly: ExactPolynomial, tol=DEFAULT_TOL) -> list[ZeroEnclosure]:
-    """Disjoint enclosures of all positive roots, exactly degree many.
+def _dyadic(q: Fraction) -> tuple[int, int]:
+    """(num, shift) with q == num / 2^shift; q must be dyadic."""
+    return q.numerator, q.denominator.bit_length() - 1
 
-    Raises NotSquareFree when the polynomial shares a factor with its
-    derivative, IsolationFailure when the positive-root count differs
-    from the degree (both contradict the expected simple-positive-root
-    structure and must stop the caller, never be absorbed silently).
-    """
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    n = poly.degree
-    if n == 0:
-        return []
-    a = _integer_coeffs(poly)
-    if a[0] == 0:
-        raise IsolationFailure("zero constant term: x = 0 is a root, not positive")
-    if not _square_free(a):
-        raise NotSquareFree("gcd with the derivative is nonconstant")
 
+def _fujiwara_exponent(a: list[int]) -> int:
+    """F with every root of a below 2^(F - 1), from coefficient bit lengths."""
+    n = len(a) - 1
     an_bits = abs(a[-1]).bit_length()
-    fujiwara = max(
+    return max(
         2,
         2 + max(
             (abs(c).bit_length() - an_bits) // (n - k) + 1
@@ -235,6 +241,39 @@ def isolate_zeros(poly: ExactPolynomial, tol=DEFAULT_TOL) -> list[ZeroEnclosure]
         ),
     )
 
+
+def _seeded_brackets(a: list[int], separators, fujiwara: int):
+    """One bracket per root from exact signs at 0, the separators and 2^F.
+
+    Returns (lo, hi, value at lo, value at hi) per gap with a strict sign
+    change, or None unless exactly n gaps change sign: n sign changes of
+    a degree-n polynomial prove one simple root in each of those gaps
+    and none elsewhere.
+    """
+    n = len(a) - 1
+    points = [Fraction(0)]
+    for s in separators:
+        s = float(s)
+        if not math.isfinite(s):
+            return None
+        points.append(Fraction(s))
+    points.append(Fraction(2**fujiwara))
+    if any(p >= q for p, q in zip(points, points[1:])):
+        return None
+    values = [_eval_dyadic(a, *_dyadic(p)) for p in points]
+    if 0 in values:
+        return None
+    brackets = [
+        (points[i], points[i + 1], values[i], values[i + 1])
+        for i in range(len(points) - 1)
+        if (values[i] > 0) != (values[i + 1] > 0)
+    ]
+    return brackets if len(brackets) == n else None
+
+
+def _descartes_brackets(a: list[int], fujiwara: int) -> list[tuple[Fraction, Fraction]]:
+    """Isolating dyadic brackets by Descartes bisection; lo == hi is an exact root."""
+    n = len(a) - 1
     brackets: list[tuple[Fraction, Fraction]] = []
 
     def emit(base: Fraction, span: Fraction, ivs, exacts):
@@ -260,29 +299,121 @@ def isolate_zeros(poly: ExactPolynomial, tol=DEFAULT_TOL) -> list[ZeroEnclosure]
         ivs, exacts = _isolate01(_strip_content2(seg))
         emit(Fraction(base), Fraction(base), ivs, exacts)
         j += 1
+    return brackets
 
+
+def _refine(a: list[int], lo: Fraction, hi: Fraction, tol: Fraction, v_lo=None, v_hi=None):
+    """Shrink a sign-change bracket below tol by exact secant steps (QIR).
+
+    Quadratic interval refinement: the bracket is cut into N = 2^m equal
+    dyadic cells, an exact secant picks the cell the root should be in,
+    and the signs at that cell's two ends keep it (N squares) or reject
+    it (a bisection step, N back to its square root).  Values carry the
+    common scale 2^(shift n) lcm, so the value at each end is computed
+    once and reused.  The bracket sequence does not depend on tol; tol
+    only says where it stops, so a smaller tol refines the same brackets
+    further.  A bracket at 0 is refined until it leaves 0, so the
+    enclosure of a positive root below tol still has lo > 0.
+    """
+    if hi - lo <= tol and lo > 0:
+        return lo, hi
+    n = len(a) - 1
+    (lo_n, s), (hi_n, t) = _dyadic(lo), _dyadic(hi)
+    if v_lo is None:
+        v_lo, v_hi = _eval_dyadic(a, lo_n, s), _eval_dyadic(a, hi_n, t)
+    if s < t:
+        lo_n, v_lo, s = lo_n << (t - s), v_lo << ((t - s) * n), t
+    elif t < s:
+        hi_n, v_hi = hi_n << (s - t), v_hi << ((s - t) * n)
+    pos_lo = v_lo > 0
+    m = 2
+    while lo_n == 0 or (hi_n - lo_n) * tol.denominator > tol.numerator << s:
+        cell = hi_n - lo_n
+        # j = round(2^m v_lo / (v_lo - v_hi)), the secant's cell boundary
+        num, den = v_lo << m, v_lo - v_hi
+        if den < 0:
+            num, den = -num, -den
+        j = (2 * num + den) // (2 * den)
+        lo_f, hi_f, shift = lo_n << m, hi_n << m, s + m
+        v_lo_f, v_hi_f = v_lo << (m * n), v_hi << (m * n)
+        if j == (1 << m):
+            j -= 1  # the cell [N - 1, N] ends at the known upper end
+        x0 = lo_f + j * cell
+        v0 = v_lo_f if j == 0 else _eval_dyadic(a, x0, shift)
+        if v0 == 0:
+            return (Fraction(x0, 1 << shift),) * 2
+        if (v0 > 0) == pos_lo:
+            # the root lies right of x0: test the cell [x0, x0 + cell]
+            x1 = x0 + cell
+            v1 = v_hi_f if x1 == hi_f else _eval_dyadic(a, x1, shift)
+            if v1 == 0:
+                return (Fraction(x1, 1 << shift),) * 2
+            ok = (v1 > 0) != pos_lo
+        else:
+            # the root lies left of x0: test the cell [x0 - cell, x0]
+            x0, x1, v1 = x0 - cell, x0, v0
+            v0 = v_lo_f if x0 == lo_f else _eval_dyadic(a, x0, shift)
+            if v0 == 0:
+                return (Fraction(x0, 1 << shift),) * 2
+            ok = (v0 > 0) == pos_lo
+        if ok:
+            lo_n, hi_n, s, v_lo, v_hi = x0, x1, shift, v0, v1
+            m *= 2
+            continue
+        m = max(2, m // 2)
+        mid, s = lo_n + hi_n, s + 1
+        v_mid = _eval_dyadic(a, mid, s)
+        if v_mid == 0:
+            return (Fraction(mid, 1 << s),) * 2
+        lo_n, hi_n, v_lo, v_hi = 2 * lo_n, 2 * hi_n, v_lo << n, v_hi << n
+        if (v_mid > 0) == pos_lo:
+            lo_n, v_lo = mid, v_mid
+        else:
+            hi_n, v_hi = mid, v_mid
+    return Fraction(lo_n, 1 << s), Fraction(hi_n, 1 << s)
+
+
+def isolate_zeros(
+    poly: ExactPolynomial, tol=DEFAULT_TOL, *, separators=None
+) -> list[ZeroEnclosure]:
+    """Disjoint enclosures of all positive roots, exactly degree many.
+
+    With `separators` (increasing points expected to split the roots one
+    per gap, such as asymptotics.zero_separators) the exact signs at 0,
+    the separators and the root bound 2^F certify the roots when they
+    change sign n times; otherwise, or without separators, Descartes
+    bisection isolates them.  Raises NotSquareFree when the polynomial
+    shares a factor with its derivative, IsolationFailure when the
+    positive-root count differs from the degree (both contradict the
+    expected simple-positive-root structure and must stop the caller,
+    never be absorbed silently).
+    """
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    n = poly.degree
+    if n == 0:
+        return []
+    a = list(poly.integer_form[0])
+    if a[0] == 0:
+        raise IsolationFailure("zero constant term: x = 0 is a root, not positive")
+    fujiwara = _fujiwara_exponent(a)
+    seeded = None if separators is None else _seeded_brackets(a, separators, fujiwara)
+    if seeded is not None:
+        return [
+            ZeroEnclosure(*_refine(a, lo, hi, tol, v_lo, v_hi))
+            for lo, hi, v_lo, v_hi in seeded
+        ]
+
+    if not _square_free(a):
+        raise NotSquareFree("gcd with the derivative is nonconstant")
+    brackets = _descartes_brackets(a, fujiwara)
     if len(brackets) != n:
         raise IsolationFailure(
             f"found {len(brackets)} positive simple roots for degree {n}"
         )
     brackets.sort()
-
-    refined = []
-    for lo, hi in brackets:
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            num, den = mid.numerator, mid.denominator
-            v = _eval_dyadic(a, num, den.bit_length() - 1)
-            if v == 0:
-                lo = hi = mid
-                break
-            vlo = _eval_dyadic(a, lo.numerator, lo.denominator.bit_length() - 1)
-            if (v > 0) == (vlo > 0):
-                lo = mid
-            else:
-                hi = mid
-        refined.append(ZeroEnclosure(lo, hi))
-    return refined
+    return [ZeroEnclosure(*_refine(a, lo, hi, tol)) for lo, hi in brackets]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +422,7 @@ def isolate_zeros(poly: ExactPolynomial, tol=DEFAULT_TOL) -> list[ZeroEnclosure]
 def rescaled_zero_measure(params: ModelParams, tol=DEFAULT_TOL) -> EmpiricalMeasure:
     """Zero counting measure of F_n(n^r x): enclosure midpoints, mass 1/n each."""
     rescaled = rescale_arg(build_f(params), params)
-    enclosures = isolate_zeros(rescaled, tol)
+    enclosures = isolate_zeros(rescaled, tol, separators=zero_separators(params))
     return EmpiricalMeasure(tuple(float(e.mid) for e in enclosures))
 
 

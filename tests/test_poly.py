@@ -4,14 +4,11 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from fctk.errors import NonConvergence
 from fctk.poly import (
     ExactPolynomial,
     ModelParams,
-    bigfloat,
     build_f,
     build_p,
-    eval_bigfloat,
     eval_exact,
     poly_from_json,
     poly_to_json,
@@ -79,6 +76,14 @@ def test_rescale_examples():
     assert rescale_arg(build_f(p22), p22).coeffs[2] == Fraction(1, 4) * 2**4
 
 
+def fraction_horner(poly, x):
+    """Reference: Horner over the rationals, reducing at every step."""
+    acc = Fraction(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def test_eval_exact_examples():
     assert eval_exact(build_f(ModelParams(1, (0,), 1)), 1) == 0
     assert eval_exact(build_f(ModelParams(1, (0,), 2)), 2) == -1
@@ -88,41 +93,28 @@ def test_eval_exact_examples():
     x = Fraction(7, 3)
     direct = sum(c * x**k for k, c in enumerate(f.coeffs))
     assert eval_exact(f, x) == direct
+    assert eval_exact(ExactPolynomial((Fraction(-5, 3),)), x) == Fraction(-5, 3)
 
 
-def test_eval_bigfloat_basics():
-    f1 = build_f(ModelParams(1, (0,), 1))
-    assert eval_bigfloat(f1, 0.5) == mp.mpf("0.5")
-    # sign changes across the root 2 - sqrt(2) of 1 - 2x + x^2/2
-    f2 = build_f(ModelParams(1, (0,), 2))
-    root = 2 - math.sqrt(2)
-    assert eval_bigfloat(f2, root - 1e-6) > 0
-    assert eval_bigfloat(f2, root + 1e-6) < 0
-
-
-def test_eval_bigfloat_matches_eval_exact():
-    params = ModelParams(2, (1, 2), 15)
+def test_eval_exact_matches_fraction_horner():
+    # the integer kernel returns the identical reduced Fraction, also at
+    # long rational points like the fig1 grid's
+    params = ModelParams(3, (2, 4, 5), 40)
     f = rescale_arg(build_f(params), params)
-    for x in (Fraction(1, 3), Fraction(17, 7), Fraction(99, 16)):
-        got = eval_bigfloat(f, x, precision_bits=128)
-        want = bigfloat(eval_exact(f, x), 128)
-        assert got == want or abs(got - want) <= abs(want) * mp.mpf(2) ** -126
+    for x in (Fraction(1, 3), Fraction(17, 7), Fraction(2**200 + 1, 3**120), Fraction(-9, 4)):
+        got = eval_exact(f, x)
+        want = fraction_horner(f, x)
+        assert got == want
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
-def test_eval_bigfloat_nonconvergence_at_root():
-    f1 = build_f(ModelParams(1, (0,), 1))
-    with pytest.raises(NonConvergence):
-        eval_bigfloat(f1, 1)  # x = 1 is an exact root
-    # caller fallback: the exact path settles it
-    assert eval_exact(f1, 1) == 0
-
-
-def test_bigfloat_conversion_ulp():
-    q = Fraction(1, 3)
-    v = bigfloat(q, 128)
-    with mp.workprec(300):
-        ref = mp.mpf(1) / 3
-        assert abs(v - ref) <= mp.mpf(2) ** -128  # within 1 ulp at 128 bits
+def test_integer_form():
+    f = build_f(ModelParams(2, (1, 2), 5))
+    ints, lcm = f.integer_form
+    assert all(isinstance(c, int) for c in ints)
+    assert tuple(Fraction(c, lcm) for c in ints) == f.coeffs
+    assert lcm == math.lcm(*(c.denominator for c in f.coeffs))
+    assert f.integer_form is f.integer_form  # computed once per polynomial
 
 
 def test_laguerre_specialization():
@@ -131,15 +123,11 @@ def test_laguerre_specialization():
         params = ModelParams(1, (0,), n)
         p = build_p(params)
         for x in (0.5, 1, 2, 3):
-            if eval_exact(p, Fraction(x)) == 0:
-                # x = 1 is the zero of L_1; the big-float path signals it
-                with pytest.raises(NonConvergence):
-                    eval_bigfloat(p, x, precision_bits=128)
-                continue
-            mine = eval_bigfloat(p, x, precision_bits=128)
+            value = eval_exact(p, Fraction(x))
             with mp.workprec(300):
+                mine = mp.mpf(value.numerator) / value.denominator
                 ref = (-1) ** n * math.factorial(n) * laguerre_recurrence(n, x)
-                assert abs(mine - ref) <= 1e-20 * abs(ref)
+                assert abs(mine - ref) <= 1e-20 * abs(ref)  # x = 1 is the zero of L_1
 
 
 def test_json_round_trip():

@@ -6,7 +6,7 @@ import pytest
 from fctk.fuss_catalan import FussCatalanDist
 from fctk.poly import ModelParams
 from fctk.rmt import aggregate_measure, mean_moment, sample_spectrum
-from fctk.rng import normals, uniforms
+from fctk.rng import normals, stream_id, uniforms
 from fctk.zeros import EmpiricalMeasure, ks_distance
 
 
@@ -60,6 +60,27 @@ def test_aggregate_and_moments():
         stderr = se.std() / math.sqrt(len(se))
         assert abs(mean_moment(m, k) - exact) <= 3 * stderr
     assert mean_moment(m, 0) == 1.0
+
+
+def test_neighbouring_seeds_share_no_spectrum():
+    params = ModelParams(1, (0,), 10)
+    m7 = aggregate_measure(params, trials=50, seed=7)
+    m8 = aggregate_measure(params, trials=50, seed=8)
+    assert np.intersect1d(m7.points, m8.points).size == 0
+    # trial 0 is the seed's single draw; later trials are distinct draws
+    assert np.array_equal(sample_spectrum(params, seed=8).values,
+                          sample_spectrum(params, seed=8, trial=0).values)
+    assert not np.array_equal(sample_spectrum(params, seed=7, trial=1).values,
+                              sample_spectrum(params, seed=8).values)
+
+
+def test_stream_id_layout():
+    assert stream_id(0, 5) == 5
+    assert stream_id(3, 2) == (3 << 32) | 2
+    with pytest.raises(ValueError):
+        stream_id(0, 2**32)
+    with pytest.raises(ValueError):
+        stream_id(-1, 0)
 
 
 def test_ks_improvement():

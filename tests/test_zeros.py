@@ -1,11 +1,16 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fctk import zeros
+from fctk.asymptotics import zero_separators
 from fctk.errors import IsolationFailure, NotSquareFree
 from fctk.fuss_catalan import FussCatalanDist
-from fctk.poly import ExactPolynomial, ModelParams, build_f, eval_exact
+from fctk.poly import ExactPolynomial, ModelParams, build_f, eval_exact, rescale_arg
 from fctk.zeros import (
     EmpiricalMeasure,
     empirical_cdf,
@@ -26,6 +31,10 @@ def check_enclosures(poly, enclosures, tol):
         assert e.width <= tol
         vlo, vhi = eval_exact(poly, e.lo), eval_exact(poly, e.hi)
         assert (vlo * vhi < 0) or vlo == 0 or vhi == 0
+
+
+def _rescaled(params):
+    return rescale_arg(build_f(params), params)
 
 
 def test_isolate_f2_roots():
@@ -79,11 +88,138 @@ def test_isolation_failure_on_complex_or_negative_roots():
 
 
 def test_refinement_contract():
-    f = build_f(ModelParams(1, (1,), 6))
-    wide = isolate_zeros(f, Fraction(1, 2**20))
-    narrow = isolate_zeros(f, Fraction(1, 2**21))
-    for a, b in zip(wide, narrow):
-        assert b.width == a.width / 2  # exactly one extra bisection step
+    # the bracket sequence does not depend on tol, so halving tol only nests
+    # (every tol here is below the smallest root, about 3e-4)
+    cases = ((ModelParams(1, (1,), 6), False), (ModelParams(2, (1, 2), 30), True))
+    for params, seeded in cases:
+        f = _rescaled(params)
+        seps = zero_separators(params) if seeded else None
+        for k in (12, 20, 40):
+            tol = Fraction(1, 2**k)
+            wide = isolate_zeros(f, tol, separators=seps)
+            narrow = isolate_zeros(f, tol / 2, separators=seps)
+            check_enclosures(f, wide, tol)
+            check_enclosures(f, narrow, tol / 2)
+            for a, b in zip(wide, narrow):
+                assert a.lo <= b.lo <= b.hi <= a.hi
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    descartes = zeros._descartes_brackets
+
+    def counted(*args):
+        calls.append(args)
+        return descartes(*args)
+
+    monkeypatch.setattr(zeros, "_descartes_brackets", counted)
+    return calls
+
+
+def test_separators_interleave_the_zeros():
+    for params in (ModelParams(1, (0,), 30), ModelParams(3, (1, 2, 3), 40)):
+        seps = zero_separators(params)
+        assert len(seps) == params.n - 1
+        assert all(0 < a < b for a, b in zip(seps, seps[1:]))
+        roots = isolate_zeros(_rescaled(params), Fraction(1, 2**30))
+        for left, sep, right in zip(roots, seps, roots[1:]):
+            assert left.hi < sep < right.lo
+    assert len(zero_separators(ModelParams(2, (0, 0), 1))) == 0
+
+
+def test_seeded_path_certifies_without_descartes(monkeypatch):
+    # n sign changes at the separators prove every root: no Descartes call
+    def boom(*args):
+        raise AssertionError("Descartes isolation ran")
+
+    monkeypatch.setattr(zeros, "_isolate01", boom)
+    coarse = Fraction(2**64)  # wider than every bracket: certification only
+    for r in (1, 2, 3):
+        for nu in itertools.product(range(4), repeat=r):
+            for n in itertools.chain(range(4, 26), (50, 100, 200)):
+                params = ModelParams(r, nu, n)
+                seps = zero_separators(params)
+                enc = isolate_zeros(_rescaled(params), coarse, separators=seps)
+                assert len(enc) == n, params
+
+
+def test_seeded_enclosures_are_proven():
+    tol = Fraction(1, 10**12)
+    for params in (ModelParams(1, (0,), 40), ModelParams(3, (3, 0, 2), 25)):
+        f = _rescaled(params)
+        check_enclosures(f, isolate_zeros(f, tol, separators=zero_separators(params)), tol)
+
+
+def test_root_below_tol_gets_a_positive_enclosure():
+    params = ModelParams(4, (0, 0, 0, 0), 19)  # smallest root about 4e-7
+    f = _rescaled(params)
+    tol = Fraction(1, 2**10)
+    for seps in (None, zero_separators(params)):
+        enc = isolate_zeros(f, tol, separators=seps)
+        check_enclosures(f, enc, tol)
+        assert enc[0].hi < Fraction(1, 10**6)
+
+
+def test_fallback_when_separators_do_not_certify(monkeypatch):
+    calls = _count_fallbacks(monkeypatch)
+    tol = Fraction(1, 2**30)
+    # large offsets against n: the asymptotic extrema miss some gaps
+    for n in range(4, 8):
+        params = ModelParams(3, (5, 5, 5), n)
+        f = _rescaled(params)
+        before = len(calls)
+        check_enclosures(f, isolate_zeros(f, tol, separators=zero_separators(params)), tol)
+        assert len(calls) == before + 1, n
+
+
+def test_fallback_when_a_separator_is_a_root(monkeypatch):
+    calls = _count_fallbacks(monkeypatch)
+    f1 = build_f(ModelParams(2, (0, 0), 1))  # 1 - x
+    enc = isolate_zeros(f1, separators=[1.0])
+    assert len(calls) == 1
+    assert enc[0].lo == enc[0].hi == 1
+
+
+def test_fallback_when_separators_are_not_usable(monkeypatch):
+    calls = _count_fallbacks(monkeypatch)
+    params = ModelParams(2, (1, 0), 12)
+    f = _rescaled(params)
+    seps = list(zero_separators(params))
+    tol = Fraction(1, 2**30)
+    want = isolate_zeros(f, tol)
+    assert len(calls) == 1
+    unsorted = seps[:]
+    unsorted[3], unsorted[4] = unsorted[4], unsorted[3]
+    repeated = seps[:-1] + [seps[-2]]
+    not_finite = (seps[:5] + [math.nan] + seps[6:], seps[:-1] + [math.inf])
+    for bad in (unsorted, repeated, *not_finite):
+        got = isolate_zeros(f, tol, separators=bad)
+        assert got == want
+    assert len(calls) == 5
+    got = isolate_zeros(f, tol, separators=seps)
+    assert len(calls) == 5
+    check_enclosures(f, got, tol)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda r: st.tuples(
+            st.just(r), st.tuples(*[st.integers(0, 5)] * r), st.integers(1, 40)
+        )
+    )
+)
+def test_seeded_and_descartes_agree(case):
+    r, nu, n = case
+    params = ModelParams(r, nu, n)
+    f = _rescaled(params)
+    tol = Fraction(1, 2**40)  # below the smallest root, about 1e-8 at r=4, n=40
+    plain = isolate_zeros(f, tol)
+    seeded = isolate_zeros(f, tol, separators=zero_separators(params))
+    assert len(plain) == len(seeded) == n
+    check_enclosures(f, seeded, tol)
+    for a, b in zip(plain, seeded):
+        assert a.lo <= b.hi and b.lo <= a.hi
 
 
 def test_determinism():
