@@ -30,7 +30,6 @@ class SpectrumSample:
     params: ModelParams
     values: np.ndarray
     seed: int
-    trial: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -62,7 +61,7 @@ def sample_spectrum(
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(f"SVD failed for seed {seed} trial {trial}: {exc}") from exc
     values = np.sort(singular * singular) / float(params.n) ** params.r
-    return SpectrumSample(params=params, values=values, seed=seed, trial=trial)
+    return SpectrumSample(params=params, values=values, seed=seed)
 
 
 def aggregate_measure(params: ModelParams, trials: int, seed: int) -> EmpiricalMeasure:

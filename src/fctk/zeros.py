@@ -303,7 +303,7 @@ def _descartes_brackets(a: list[int], fujiwara: int) -> list[tuple[Fraction, Fra
 
 
 def _refine(a: list[int], lo: Fraction, hi: Fraction, tol: Fraction, v_lo=None, v_hi=None):
-    """Shrink a sign-change bracket below tol by exact secant steps (QIR).
+    """Shrink a bracket around one simple root below tol by exact secant steps (QIR).
 
     Quadratic interval refinement: the bracket is cut into N = 2^m equal
     dyadic cells, an exact secant picks the cell the root should be in,
@@ -314,8 +314,14 @@ def _refine(a: list[int], lo: Fraction, hi: Fraction, tol: Fraction, v_lo=None, 
     only says where it stops, so a smaller tol refines the same brackets
     further.  A bracket at 0 is refined until it leaves 0, so the
     enclosure of a positive root below tol still has lo > 0.
+
+    The root is interior, but a Descartes bracket may end on a dyadic
+    root that is reported on its own.  Such a bracket is bisected until
+    neither end is a root, with the sign just inside a zero lower end
+    read from the derivative there (the roots are simple); only a new
+    interior probe can return an exact root.
     """
-    if hi - lo <= tol and lo > 0:
+    if lo == hi:
         return lo, hi
     n = len(a) - 1
     (lo_n, s), (hi_n, t) = _dyadic(lo), _dyadic(hi)
@@ -325,42 +331,51 @@ def _refine(a: list[int], lo: Fraction, hi: Fraction, tol: Fraction, v_lo=None, 
         lo_n, v_lo, s = lo_n << (t - s), v_lo << ((t - s) * n), t
     elif t < s:
         hi_n, v_hi = hi_n << (s - t), v_hi << ((s - t) * n)
-    pos_lo = v_lo > 0
+    if v_lo:
+        pos_lo = v_lo > 0
+    else:
+        pos_lo = _eval_dyadic([k * c for k, c in enumerate(a)][1:], lo_n, s) > 0
     m = 2
-    while lo_n == 0 or (hi_n - lo_n) * tol.denominator > tol.numerator << s:
-        cell = hi_n - lo_n
-        # j = round(2^m v_lo / (v_lo - v_hi)), the secant's cell boundary
-        num, den = v_lo << m, v_lo - v_hi
-        if den < 0:
-            num, den = -num, -den
-        j = (2 * num + den) // (2 * den)
-        lo_f, hi_f, shift = lo_n << m, hi_n << m, s + m
-        v_lo_f, v_hi_f = v_lo << (m * n), v_hi << (m * n)
-        if j == (1 << m):
-            j -= 1  # the cell [N - 1, N] ends at the known upper end
-        x0 = lo_f + j * cell
-        v0 = v_lo_f if j == 0 else _eval_dyadic(a, x0, shift)
-        if v0 == 0:
-            return (Fraction(x0, 1 << shift),) * 2
-        if (v0 > 0) == pos_lo:
-            # the root lies right of x0: test the cell [x0, x0 + cell]
-            x1 = x0 + cell
-            v1 = v_hi_f if x1 == hi_f else _eval_dyadic(a, x1, shift)
-            if v1 == 0:
-                return (Fraction(x1, 1 << shift),) * 2
-            ok = (v1 > 0) != pos_lo
-        else:
-            # the root lies left of x0: test the cell [x0 - cell, x0]
-            x0, x1, v1 = x0 - cell, x0, v0
-            v0 = v_lo_f if x0 == lo_f else _eval_dyadic(a, x0, shift)
+    while (
+        v_lo == 0
+        or v_hi == 0
+        or lo_n == 0
+        or (hi_n - lo_n) * tol.denominator > tol.numerator << s
+    ):
+        if v_lo and v_hi:
+            cell = hi_n - lo_n
+            # j = round(2^m v_lo / (v_lo - v_hi)), the secant's cell boundary
+            num, den = v_lo << m, v_lo - v_hi
+            if den < 0:
+                num, den = -num, -den
+            j = (2 * num + den) // (2 * den)
+            lo_f, hi_f, shift = lo_n << m, hi_n << m, s + m
+            v_lo_f, v_hi_f = v_lo << (m * n), v_hi << (m * n)
+            if j == (1 << m):
+                j -= 1  # the cell [N - 1, N] ends at the known upper end
+            x0 = lo_f + j * cell
+            v0 = v_lo_f if j == 0 else _eval_dyadic(a, x0, shift)
             if v0 == 0:
                 return (Fraction(x0, 1 << shift),) * 2
-            ok = (v0 > 0) == pos_lo
-        if ok:
-            lo_n, hi_n, s, v_lo, v_hi = x0, x1, shift, v0, v1
-            m *= 2
-            continue
-        m = max(2, m // 2)
+            if (v0 > 0) == pos_lo:
+                # the root lies right of x0: test the cell [x0, x0 + cell]
+                x1 = x0 + cell
+                v1 = v_hi_f if x1 == hi_f else _eval_dyadic(a, x1, shift)
+                if v1 == 0:
+                    return (Fraction(x1, 1 << shift),) * 2
+                ok = (v1 > 0) != pos_lo
+            else:
+                # the root lies left of x0: test the cell [x0 - cell, x0]
+                x0, x1, v1 = x0 - cell, x0, v0
+                v0 = v_lo_f if x0 == lo_f else _eval_dyadic(a, x0, shift)
+                if v0 == 0:
+                    return (Fraction(x0, 1 << shift),) * 2
+                ok = (v0 > 0) == pos_lo
+            if ok:
+                lo_n, hi_n, s, v_lo, v_hi = x0, x1, shift, v0, v1
+                m *= 2
+                continue
+            m = max(2, m // 2)
         mid, s = lo_n + hi_n, s + 1
         v_mid = _eval_dyadic(a, mid, s)
         if v_mid == 0:

@@ -22,15 +22,26 @@ from fctk.zeros import (
 
 
 def check_enclosures(poly, enclosures, tol):
+    """Degree many sorted enclosures, each proving a root of its own.
+
+    lo == hi must be an exact root, and lo < hi needs nonzero values of
+    opposite signs at its ends, so its root is interior.  Neighbours are
+    then strictly ordered, except that two sign-change brackets may share
+    an end: their roots are interior, so distinct.
+    """
     assert len(enclosures) == poly.degree
-    prev_hi = Fraction(0)
+    prev = None
     for e in enclosures:
         assert e.lo > 0
-        assert e.lo >= prev_hi  # pairwise disjoint, sorted
-        prev_hi = e.hi
         assert e.width <= tol
         vlo, vhi = eval_exact(poly, e.lo), eval_exact(poly, e.hi)
-        assert (vlo * vhi < 0) or vlo == 0 or vhi == 0
+        if e.lo == e.hi:
+            assert vlo == 0
+        else:
+            assert vlo * vhi < 0
+        if prev is not None:
+            assert e.lo > prev.hi or (e.lo == prev.hi and prev.lo < prev.hi and e.lo < e.hi)
+        prev = e
 
 
 def _rescaled(params):
@@ -61,6 +72,20 @@ def test_isolate_dyadic_root():
     enc = isolate_zeros(p)
     assert enc[0].lo == enc[0].hi == Fraction(1, 2)
     assert enc[1].lo <= 3 <= enc[1].hi
+
+
+def test_bracket_ending_on_a_dyadic_root():
+    # Descartes gives (0, 1/2) and the exact root 1/2; the root of the
+    # first bracket, 9/20 or 11/20, must not be reported as its end 1/2
+    for p, other in (
+        (ExactPolynomial((9, -38, 40)), Fraction(9, 20)),  # (2x - 1)(20x - 9)
+        (ExactPolynomial((11, -42, 40)), Fraction(11, 20)),  # (2x - 1)(20x - 11)
+    ):
+        for tol in (Fraction(1, 10**12), Fraction(1)):
+            enc = isolate_zeros(p, tol)
+            check_enclosures(p, enc, tol)
+            assert Fraction(1, 2) in [e.lo for e in enc if e.lo == e.hi]
+            assert any(e.lo < other < e.hi for e in enc)
 
 
 def test_root_count_small_sweep():
