@@ -32,14 +32,7 @@ from .errors import (
 from .fuss_catalan import FussCatalanDist, identity_check
 from .geometry import (
     PhiCoordinate,
-    SaddleData,
-    f_phase,
-    f_phase_deriv,
-    g_shift,
-    rho,
-    rho_deriv,
     rho_inv,
-    saddle_points,
     solve_trinomial,
     x_star,
 )
@@ -85,7 +78,6 @@ __all__ = [
     "PhiCoordinate",
     "QuadratureFailure",
     "QuadratureGrid",
-    "SaddleData",
     "SpectrumSample",
     "ZeroEnclosure",
     "aggregate_measure",
@@ -95,10 +87,7 @@ __all__ = [
     "cosine_approximant",
     "empirical_cdf",
     "eval_exact",
-    "f_phase",
-    "f_phase_deriv",
     "fig1_dataset",
-    "g_shift",
     "identity_check",
     "isolate_zeros",
     "ks_distance",
@@ -112,11 +101,8 @@ __all__ = [
     "pr_prefactor_log",
     "rescale_arg",
     "rescaled_zero_measure",
-    "rho",
-    "rho_deriv",
     "rho_inv",
     "sample_spectrum",
-    "saddle_points",
     "solve_trinomial",
     "verify_h_max",
     "x_star",

@@ -33,10 +33,6 @@ from .poly import ExactPolynomial, ModelParams
 RHO_APPROX_DENOMINATOR_CAP = 10**40
 RHO_APPROX_ERROR_BUDGET = 1e-30
 
-# Bisection steps of zero_separators: the angle bracket pi/(r+1) halves
-# down to double-precision resolution.
-SEPARATOR_BISECTIONS = 60
-
 # Flagship grid reproduction: r=3, nu=(2,4,5), n=150 on [0.5 pi/4, 0.55 pi/4].
 FIG1_PARAMS = ModelParams(r=3, nu=(2, 4, 5), n=150)
 FIG1_PHI_LO = 0.5 * math.pi / 4
@@ -113,19 +109,15 @@ def zero_separators(params: ModelParams) -> np.ndarray:
     formula puts one zero of F_n(n^r x) in each gap between consecutive
     points, one below the first and one above the last.  The phase
     n f - g runs from -pi/4 at phi = 0 past n pi at phi = pi/(r+1), and
-    one vectorized bisection in phi finds all n - 1 crossings.
+    one call of geometry.solve_phi finds all n - 1 crossings.
     """
-    r, n = params.r, params.n
-    target = np.pi * np.arange(1, max(n, 1))
-    lo = np.zeros_like(target)
-    hi = np.full_like(target, np.pi / (r + 1))
-    for _ in range(SEPARATOR_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        phase = n * geometry.f_at(r, mid, np) - geometry.g_shift_at(r, params.nu, mid, np)
-        below = phase < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    x = geometry.rho_at(r, 0.5 * (lo + hi), np)[::-1]
+    r, n, nu = params.r, params.n, params.nu
+    phi = geometry.solve_phi(
+        r,
+        lambda t: n * geometry.f_at(r, t, np) - geometry.g_shift_at(r, nu, t, np),
+        np.pi * np.arange(1, max(n, 1)),
+    )
+    x = geometry.rho_at(r, phi, np)[::-1]
     if x.size == 0:
         return x
     # round each point to a multiple of a power of two at most 1/8 of the

@@ -324,8 +324,6 @@ def main(argv=None) -> int:
             parser.error("oracle contour needs --x")
         if args.probe in ("msp", "hmax") and args.phi is None:
             parser.error(f"oracle {args.probe} needs --phi")
-    if args.command == "fc" and args.action in ("density", "cdf", "quantile"):
-        pass  # argument checks live in cmd_fc
     try:
         return _DISPATCH[args.command](parser, args)
     except FctkError as exc:

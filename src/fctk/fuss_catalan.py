@@ -45,19 +45,6 @@ def _quad(func, lo, hi, rel=_QUAD_REL_TARGET):
     return value
 
 
-def _phi_grid_from_p(r: int, targets: np.ndarray) -> np.ndarray:
-    """Vectorized inversion of f(phi) = pi (1 - p) by bisection."""
-    lo = np.full_like(targets, 5e-324)
-    hi = np.full_like(targets, math.pi / (r + 1))
-    want = math.pi * (1.0 - targets)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        less = geometry.f_at(r, mid, np) < want
-        lo = np.where(less, mid, lo)
-        hi = np.where(less, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 @dataclass(frozen=True)
 class FussCatalanDist:
     """Order-r Fuss-Catalan distribution."""
@@ -83,24 +70,38 @@ class FussCatalanDist:
         return s1 * s1 * sr ** (r - 1) / (math.pi * sr1**r)
 
     def density_x(self, x: float) -> float:
-        """Density at x; 0 outside the open support by convention."""
+        """Density at x; 0 outside the open support by convention.
+
+        Raises DomainError where no double angle puts rho(phi) within
+        1e-8 x of x: near the hard edge x -> 0 the angle pins to
+        pi/(r+1) and the closed form would return a wrong number.
+        """
         if not (0.0 < x < self.support[1]):
             return 0.0
-        return self.density_phi(geometry.rho_inv(self.r, x))
+        c = geometry.rho_inv(self.r, x)
+        if abs(geometry.rho_at(self.r, c.phi) - x) > 1e-8 * x:
+            raise DomainError(f"x={x!r} lies too close to 0 to resolve its angle")
+        return self.density_phi(c)
 
-    def cdf(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        if x >= self.support[1]:
-            return 1.0
-        return 1.0 - geometry.f_phase(geometry.rho_inv(self.r, x)) / math.pi
+    def cdf(self, x):
+        """P(X <= x) = 1 - f(phi)/pi at x = rho(phi); a float or, for an array, elementwise."""
+        x = np.asarray(x, dtype=float)
+        if np.isnan(x).any():
+            raise DomainError("cdf of nan")
+        r = self.r
+        inside = (0.0 < x) & (x < self.support[1])
+        out = np.array(x > 0.0, dtype=float)
+        phi = geometry.solve_phi(r, lambda t: -geometry.rho_at(r, t, np), -x[inside])
+        out[inside] = 1.0 - geometry.f_at(r, phi, np) / math.pi
+        return out if out.ndim else float(out)
 
     def quantile(self, p: float) -> float:
         """x with |cdf(x) - p| <= 1e-12, by bisection in the angle."""
         if not (0.0 < p < 1.0):
             raise DomainError(f"p must lie in (0, 1), got {p!r}")
-        phi = float(_phi_grid_from_p(self.r, np.asarray([p]))[0])
-        return geometry.rho_at(self.r, phi)
+        r = self.r
+        phi = float(geometry.solve_phi(r, lambda t: geometry.f_at(r, t, np), math.pi * (1.0 - p)))
+        return geometry.rho_at(r, phi)
 
     # -- moments ------------------------------------------------------------
 
@@ -135,9 +136,10 @@ class FussCatalanDist:
             raise DomainError(f"count must be >= 0, got {count}")
         if count == 0:
             return np.empty(0)
+        r = self.r
         u = rng.uniforms(seed, count)
-        phi = _phi_grid_from_p(self.r, u)
-        return np.asarray(geometry.rho_at(self.r, phi, np))
+        phi = geometry.solve_phi(r, lambda t: geometry.f_at(r, t, np), np.pi * (1.0 - u))
+        return np.asarray(geometry.rho_at(r, phi, np))
 
     # -- Stieltjes transform --------------------------------------------------
 

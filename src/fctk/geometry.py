@@ -14,9 +14,11 @@ contour representation sit at a(phi) e^{+-i phi} with modulus
 a(phi) = sin((r+1)phi)/sin(r phi) and solve the trinomial
 w^(r+1) - x w + x = 0 at x = rho(phi).
 
-Most functions take a backend module (math, mpmath, or numpy) so the
+The formulas take a backend module (math, mpmath, or numpy) so the
 same expressions serve double-precision scalars, arbitrary precision,
-and vectorized grids.
+and vectorized grids.  Every inversion in the package (x -> phi, the
+quantiles of the distribution, the extrema of the cosine approximant)
+goes through the one vectorized bisection solve_phi.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
 
-_SADDLE_RESIDUAL_REL = 1e-12
 _TRINOMIAL_RESIDUAL_REL = 1e-10
 
 
@@ -49,17 +50,6 @@ class PhiCoordinate:
             )
 
 
-@dataclass(frozen=True)
-class SaddleData:
-    """Conjugate saddle pair with Hessian data at a given phi."""
-
-    w_plus: complex
-    w_minus: complex
-    hess_det: complex
-    re_hess_det: float
-    modulus: float
-
-
 def x_star(r: int) -> Fraction:
     """Right edge (r+1)^(r+1) / r^r of the support, as an exact rational."""
     if r < 1:
@@ -71,14 +61,20 @@ def x_star(r: int) -> Fraction:
 # backend-generic forms (lib is math, mpmath, or numpy)
 
 def rho_at(r, phi, lib=math):
+    """x = rho(phi), strictly decreasing from x_star(r) to 0."""
     return lib.sin((r + 1) * phi) ** (r + 1) / (lib.sin(phi) * lib.sin(r * phi) ** r)
 
 
 def saddle_modulus_at(r, phi, lib=math):
+    """Modulus a(phi) of the conjugate saddles a(phi) e^{+-i phi}.
+
+    Both saddles solve w^(r+1) - x w + x = 0 at x = rho(phi).
+    """
     return lib.sin((r + 1) * phi) / lib.sin(r * phi)
 
 
 def f_at(r, phi, lib=math):
+    """Oscillation phase f(phi), strictly increasing from 0 to pi."""
     return (r + 1) * phi - r * saddle_modulus_at(r, phi, lib) * lib.sin(phi)
 
 
@@ -109,6 +105,11 @@ def hess_quartic_at(r, phi, lib=math):
 
 
 def g_shift_at(r, nu, phi, lib=math):
+    """Phase shift -(r/2 + sum(nu)) phi - Arg(1 - (r sin phi/sin r phi) e^{i(r+1)phi}) / 2.
+
+    The principal complex argument reproduces the arctan of the same
+    ratio while staying continuous when its denominator vanishes.
+    """
     s1, sr, sr1 = lib.sin(phi), lib.sin(r * phi), lib.sin((r + 1) * phi)
     atan2 = getattr(lib, "atan2", None) or lib.arctan2
     arg = atan2(-r * s1 * sr1 / sr, 1 - r * s1 * lib.cos((r + 1) * phi) / sr)
@@ -116,44 +117,28 @@ def g_shift_at(r, nu, phi, lib=math):
 
 
 # ---------------------------------------------------------------------------
-# coordinate-level surface
+# inversion
 
-def _check(c: PhiCoordinate) -> PhiCoordinate:
-    if not isinstance(c, PhiCoordinate):
-        raise DomainError(f"expected a PhiCoordinate, got {type(c)!r}")
-    return c
+def solve_phi(r: int, increasing, targets) -> np.ndarray:
+    """Angles in (0, pi/(r+1)) where `increasing` meets `targets`, elementwise.
 
-
-def rho(c: PhiCoordinate) -> float:
-    """x = rho(phi), strictly decreasing from x_star(r) to 0."""
-    _check(c)
-    return rho_at(c.r, c.phi)
-
-
-def f_phase(c: PhiCoordinate) -> float:
-    """Oscillation phase f(phi), strictly increasing from 0 to pi."""
-    _check(c)
-    return f_at(c.r, c.phi)
-
-
-def f_phase_deriv(c: PhiCoordinate) -> float:
-    _check(c)
-    return f_deriv_at(c.r, c.phi)
-
-
-def rho_deriv(c: PhiCoordinate) -> float:
-    _check(c)
-    return rho_deriv_at(c.r, c.phi)
-
-
-def g_shift(c: PhiCoordinate, nu) -> float:
-    """Phase shift -(r/2 + sum(nu)) phi - Arg(1 - (r sin phi/sin r phi) e^{i(r+1)phi}) / 2.
-
-    The principal complex argument reproduces the arctan of the same
-    ratio while staying continuous when its denominator vanishes.
+    `increasing` maps an array of angles to values and must increase on
+    the interval (a decreasing form is inverted through its negation).
+    The brackets start at the smallest positive double and the largest
+    double below pi/(r+1) and halve until none shrinks, so every result
+    lies strictly inside the open interval and does not depend on the
+    other targets.
     """
-    _check(c)
-    return g_shift_at(c.r, tuple(nu), c.phi)
+    targets = np.asarray(targets, dtype=float)
+    lo = np.full_like(targets, 5e-324)
+    hi = np.full_like(targets, np.nextafter(math.pi / (r + 1), 0.0))
+    mid = 0.5 * (lo + hi)
+    while ((lo < mid) & (mid < hi)).any():
+        below = increasing(mid) < targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def rho_inv(r: int, x: float) -> PhiCoordinate:
@@ -161,49 +146,10 @@ def rho_inv(r: int, x: float) -> PhiCoordinate:
     xs = float(x_star(r))
     if not (0.0 < x < xs):
         raise DomainError(f"x must lie in (0, {xs}) for r={r}, got {x!r}")
-    lo, hi = 5e-324, math.pi / (r + 1)
-    # rho decreases: rho(lo) ~ x_star, rho(hi) ~ 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if rho_at(r, mid) > x:
-            lo = mid
-        else:
-            hi = mid
-    phi = 0.5 * (lo + hi)
+    phi = float(solve_phi(r, lambda p: -rho_at(r, p, np), -x))
     if abs(rho_at(r, phi) - x) > 1e-14 * max(1.0, x):
         raise ConvergenceFailure(f"rho inversion stalled at phi={phi!r}")
     return PhiCoordinate(r, phi)
-
-
-def saddle_points(c: PhiCoordinate) -> SaddleData:
-    """Conjugate saddles a(phi) e^{+-i phi} with Hessian determinants.
-
-    Checks the trinomial residual at x = rho(phi) and that the
-    determinant of the real part of the Hessian is strictly positive.
-    """
-    _check(c)
-    r, phi = c.r, c.phi
-    s1, sr, sr1 = math.sin(phi), math.sin(r * phi), math.sin((r + 1) * phi)
-    a = sr1 / sr
-    w_plus = complex(a * math.cos(phi), a * math.sin(phi))
-    w_minus = w_plus.conjugate()
-    ratio = r * s1 / sr
-    d_factor = 1 - ratio * complex(math.cos((r + 1) * phi), math.sin((r + 1) * phi))
-    hess_det = (a * complex(math.cos(phi), math.sin(phi))) ** r * d_factor
-    re_hess_det = (
-        a**r * math.cos(phi) ** (r - 1)
-        * (math.cos(phi) - r * s1 * math.cos((r + 2) * phi) / sr)
-    )
-    x = rho_at(r, phi)
-    for w in (w_plus, w_minus):
-        res = abs(w ** (r + 1) - x * w + x)
-        if res > _SADDLE_RESIDUAL_REL * (1 + abs(x)) * (1 + abs(w) ** (r + 1)):
-            raise ConvergenceFailure(f"saddle residual {res} too large at phi={phi}")
-    if not re_hess_det > 0:
-        raise ConvergenceFailure(f"re_hess_det={re_hess_det} not positive at phi={phi}")
-    return SaddleData(w_plus, w_minus, hess_det, re_hess_det, a)
 
 
 def solve_trinomial(r: int, x: complex) -> list[complex]:

@@ -41,10 +41,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
+import numpy as np
+
 from .asymptotics import zero_separators
 from .errors import IsolationFailure, NotSquareFree
 from .fuss_catalan import FussCatalanDist
-from .geometry import f_at, rho_inv, x_star
+from .geometry import x_star
 from .poly import ExactPolynomial, ModelParams, build_f, rescale_arg
 
 DEFAULT_TOL = Fraction(1, 10**12)
@@ -449,23 +451,20 @@ def empirical_cdf(m: EmpiricalMeasure, x: float) -> float:
 
 def ks_distance(m: EmpiricalMeasure, d: FussCatalanDist) -> float:
     """sup |empirical - cdf|, checked one-sided at every jump point."""
-    sup = 0.0
-    for i, x in enumerate(m.points):
-        c = d.cdf(x)
-        sup = max(sup, abs((i + 1) / m.n - c), abs(i / m.n - c))
-    return sup
+    if m.n == 0:
+        return 0.0
+    c = d.cdf(m.points)
+    below = np.arange(m.n) / m.n
+    above = np.arange(1, m.n + 1) / m.n
+    return float(max(np.abs(above - c).max(), np.abs(below - c).max()))
 
 
 def local_zero_count(params: ModelParams, eps1: float, eps2: float, tol=DEFAULT_TOL):
-    """Observed roots of F_n(n^r x) in (eps1, eps2) against n (f o rho^-1)/pi."""
+    """Observed roots of F_n(n^r x) in (eps1, eps2) against n (cdf(eps2) - cdf(eps1))."""
     xs = float(x_star(params.r))
     if not (0.0 < eps1 < eps2 < xs):
         raise ValueError(f"need 0 < eps1 < eps2 < {xs}")
     measure = rescaled_zero_measure(params, tol)
     observed = sum(1 for x in measure.points if eps1 < x < eps2)
-    predicted = (
-        params.n
-        * (f_at(params.r, rho_inv(params.r, eps1).phi) - f_at(params.r, rho_inv(params.r, eps2).phi))
-        / math.pi
-    )
-    return observed, predicted
+    lo, hi = FussCatalanDist(params.r).cdf([eps1, eps2])
+    return observed, float(params.n * (hi - lo))

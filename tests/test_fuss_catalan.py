@@ -1,12 +1,48 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fctk.errors import BranchAmbiguity, DomainError
 from fctk.fuss_catalan import FussCatalanDist, identity_check
-from fctk.geometry import PhiCoordinate, f_deriv_at, rho_at, rho_deriv_at
+from fctk.geometry import PhiCoordinate, f_deriv_at, rho_at, rho_deriv_at, rho_inv
+
+
+def mp_angle(r, x):
+    """phi with rho(phi) = x at 400 digits, bisecting log(pi/(r+1) - phi).
+
+    The offset from pi/(r+1) is carried on its own, so x down to the
+    smallest subnormal double resolves.
+    """
+    top = mp.pi / (r + 1)
+    lo, hi = mp.mpf(-800), mp.log(top)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        phi = top - mp.exp(mid)
+        if mp.sin((r + 1) * phi) ** (r + 1) / (mp.sin(phi) * mp.sin(r * phi) ** r) < x:
+            lo = mid
+        else:
+            hi = mid
+    return top - mp.exp((lo + hi) / 2)
+
+
+def mp_cdf(r, x):
+    with mp.workdps(400):
+        phi = mp_angle(r, mp.mpf(x))
+        f = (r + 1) * phi - r * mp.sin((r + 1) * phi) * mp.sin(phi) / mp.sin(r * phi)
+        return float(1 - f / mp.pi)
+
+
+def mp_density(r, x):
+    with mp.workdps(400):
+        phi = mp_angle(r, mp.mpf(x))
+        return float(
+            mp.sin(phi) ** 2 * mp.sin(r * phi) ** (r - 1) / (mp.pi * mp.sin((r + 1) * phi) ** r)
+        )
 
 
 def test_density_phi_values():
@@ -53,6 +89,49 @@ def test_cdf():
         assert d.cdf(0.0) == 0.0
         assert d.cdf(d.support[1]) == 1.0
         assert d.cdf(100.0) == 1.0
+        with pytest.raises(DomainError):
+            d.cdf(math.nan)
+
+
+def test_hard_edge_angle_and_cdf():
+    # the angle of x near 0 stays below pi/(r+1) and meets the residual
+    # contract; the law puts mass ~ x^(1/(r+1)) below x (9e-11 at r=3 and
+    # 9e-9 at r=4 for x = 1e-40), so the cdf is held to a 400-digit value
+    for r in (1, 2, 3, 4):
+        d = FussCatalanDist(r)
+        for x in (1e-40, 1e-300, 5e-324):
+            phi = rho_inv(r, x).phi
+            assert abs(rho_at(r, phi) - x) <= 1e-14 * max(1.0, x)
+            assert d.cdf(x) >= 0.0
+            assert d.cdf(x) == pytest.approx(mp_cdf(r, x), abs=1e-12)
+            if x < 1e-40:
+                assert d.cdf(x) <= 1e-12
+
+
+def test_density_x_near_the_hard_edge():
+    # no double angle resolves these x; the closed form returned 2.0e29
+    # (against 2.76e199) and 1.231e26 (against 1.2795e26)
+    d = FussCatalanDist(2)
+    for x in (1e-300, 1e-40):
+        with pytest.raises(DomainError):
+            d.density_x(x)
+    assert mp_density(2, 1e-40) == pytest.approx(1.2795e26, rel=1e-4)
+    assert d.density_x(1e-9) == pytest.approx(mp_density(2, 1e-9), rel=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.lists(st.floats(-1.0, 10.0), max_size=30))
+def test_array_cdf_matches_scalar_cdf(r, xs):
+    d = FussCatalanDist(r)
+    assert d.cdf(np.array(xs)).tolist() == [d.cdf(x) for x in xs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.floats(0.0, 1.0))
+def test_quantile_inverts_cdf(r, t):
+    d = FussCatalanDist(r)
+    x = 1e-3 + t * (d.support[1] - 2e-3)
+    assert d.quantile(d.cdf(x)) == pytest.approx(x, abs=1e-10, rel=1e-10)
 
 
 def test_cdf_density_consistency():

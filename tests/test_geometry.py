@@ -7,17 +7,21 @@ from fctk.errors import DomainError
 from fctk.geometry import (
     PhiCoordinate,
     f_at,
-    f_phase,
-    f_phase_deriv,
-    g_shift,
-    rho,
+    f_deriv_at,
+    g_shift_at,
     rho_at,
-    rho_deriv,
+    rho_deriv_at,
     rho_inv,
-    saddle_points,
+    saddle_modulus_at,
     solve_trinomial,
     x_star,
 )
+
+
+def saddles(r, phi):
+    """The conjugate pair a(phi) e^{+-i phi}."""
+    w = saddle_modulus_at(r, phi) * complex(math.cos(phi), math.sin(phi))
+    return w, w.conjugate()
 
 
 def test_phi_domain_is_strictly_open():
@@ -37,10 +41,10 @@ def test_x_star():
 
 
 def test_rho_values():
-    assert rho(PhiCoordinate(1, math.pi / 4)) == pytest.approx(2.0, abs=1e-14)
-    assert rho(PhiCoordinate(2, math.pi / 6)) == pytest.approx(8 / 3, rel=1e-14)
+    assert rho_at(1, math.pi / 4) == pytest.approx(2.0, abs=1e-14)
+    assert rho_at(2, math.pi / 6) == pytest.approx(8 / 3, rel=1e-14)
     # r=1 closed form rho = 4 cos^2(phi), limit x_star at phi -> 0
-    assert rho(PhiCoordinate(1, 1e-8)) == pytest.approx(4.0, rel=1e-12)
+    assert rho_at(1, 1e-8) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_rho_inv_examples_and_round_trip():
@@ -63,7 +67,7 @@ def test_rho_inv_examples_and_round_trip():
 
 
 def test_f_phase():
-    assert f_phase(PhiCoordinate(1, math.pi / 4)) == pytest.approx(math.pi / 2 - 1, abs=1e-15)
+    assert f_at(1, math.pi / 4) == pytest.approx(math.pi / 2 - 1, abs=1e-15)
     for r in (1, 2, 3, 4):
         top = math.pi / (r + 1)
         assert f_at(r, 1e-9 * top) == pytest.approx(0.0, abs=1e-8)
@@ -83,10 +87,10 @@ def test_monotonicity_grids():
 def test_g_shift():
     # 1 - (r sin(phi)/sin(r phi)) e^{i(r+1)phi} = 1 - i at r=1, phi=pi/4,
     # so the argument term contributes +pi/8 and g vanishes there
-    assert g_shift(PhiCoordinate(1, math.pi / 4), (0,)) == pytest.approx(0.0, abs=1e-15)
+    assert g_shift_at(1, (0,), math.pi / 4) == pytest.approx(0.0, abs=1e-15)
     # closed form for r=1, nu=(0): g = pi/4 - phi
     for phi in (0.3, 0.7, 1.1, 1.5):
-        assert g_shift(PhiCoordinate(1, phi), (0,)) == pytest.approx(
+        assert g_shift_at(1, (0,), phi) == pytest.approx(
             math.pi / 4 - phi, abs=1e-13
         )
     # continuity on a dense grid (the atan2 form has no branch jumps)
@@ -94,7 +98,7 @@ def test_g_shift():
         top = math.pi / (r + 1)
         prev = None
         for i in range(1, 2000):
-            val = g_shift(PhiCoordinate(r, i * top / 2000), (1,) * r)
+            val = g_shift_at(r, (1,) * r, i * top / 2000)
             assert math.isfinite(val)
             if prev is not None:
                 assert abs(val - prev) < 0.05
@@ -106,28 +110,26 @@ def test_laguerre_phase_convention():
     # literal cosine argument -n f + g is the classical phase itself
     n = 37
     for phi in (0.4, 0.9, 1.3):
-        c = PhiCoordinate(1, phi)
+        f, g = f_at(1, phi), g_shift_at(1, (0,), phi)
         classical = n * (math.sin(2 * phi) - 2 * phi) - phi + math.pi / 4
-        assert n * f_phase(c) + g_shift(c, (0,)) == pytest.approx(-(
+        assert n * f + g == pytest.approx(-(
             n * (math.sin(2 * phi) - 2 * phi) + phi - math.pi / 4
         ), abs=1e-10)
-        assert -n * f_phase(c) + g_shift(c, (0,)) == pytest.approx(classical, abs=1e-10)
+        assert -n * f + g == pytest.approx(classical, abs=1e-10)
 
 
 def test_saddle_points_examples():
-    s = saddle_points(PhiCoordinate(1, math.pi / 4))
-    assert s.w_plus == pytest.approx(1 + 1j, abs=1e-14)
-    assert s.w_minus == s.w_plus.conjugate()
-    assert abs(s.w_plus**2 - 2 * s.w_plus + 2) < 1e-13
+    w_plus, w_minus = saddles(1, math.pi / 4)
+    assert w_plus == pytest.approx(1 + 1j, abs=1e-14)
+    assert w_minus == w_plus.conjugate()
+    assert abs(w_plus**2 - 2 * w_plus + 2) < 1e-13
 
-    s = saddle_points(PhiCoordinate(2, math.pi / 6))
+    w_plus, _ = saddles(2, math.pi / 6)
     a = math.sin(math.pi / 2) / math.sin(math.pi / 3)
-    assert abs(s.w_plus) == pytest.approx(a, rel=1e-14)
-    assert s.modulus == pytest.approx(a, rel=1e-14)
-    x = 8 / 3
-    assert abs(s.w_plus**3 - x * s.w_plus + x) < 1e-12
-
-    assert saddle_points(PhiCoordinate(3, math.pi / 8)).re_hess_det > 0
+    assert abs(w_plus) == pytest.approx(a, rel=1e-14)
+    assert saddle_modulus_at(2, math.pi / 6) == pytest.approx(a, rel=1e-14)
+    x = rho_at(2, math.pi / 6)
+    assert abs(w_plus**3 - x * w_plus + x) < 1e-12
 
 
 def test_saddle_residual_random():
@@ -137,14 +139,11 @@ def test_saddle_residual_random():
     for r in (1, 2, 3, 4):
         top = math.pi / (r + 1)
         for _ in range(100):
-            c = PhiCoordinate(r, rnd.uniform(0.01, 0.99) * top)
-            s = saddle_points(c)
-            x = rho(c)
-            for w in (s.w_plus, s.w_minus):
+            phi = rnd.uniform(0.01, 0.99) * top
+            x = rho_at(r, phi)
+            for w in saddles(r, phi):
                 res = abs(w ** (r + 1) - x * w + x)
                 assert res <= 1e-12 * (1 + abs(x)) * (1 + abs(w) ** (r + 1))
-            assert s.re_hess_det > 0
-            assert s.w_minus == s.w_plus.conjugate()
 
 
 def test_solve_trinomial():
@@ -172,10 +171,9 @@ def test_trinomial_contains_saddles():
     for r in (1, 2, 3, 4):
         top = math.pi / (r + 1)
         for _ in range(25):
-            c = PhiCoordinate(r, rnd.uniform(0.02, 0.98) * top)
-            s = saddle_points(c)
-            roots = solve_trinomial(r, rho(c))
-            for target in (s.w_plus, s.w_minus):
+            phi = rnd.uniform(0.02, 0.98) * top
+            roots = solve_trinomial(r, rho_at(r, phi))
+            for target in saddles(r, phi):
                 assert min(abs(w - target) for w in roots) < 1e-10
 
 
@@ -185,8 +183,7 @@ def test_derivative_formulas_match_finite_differences():
         top = math.pi / (r + 1)
         for frac in (0.15, 0.4, 0.65, 0.9):
             phi = frac * top
-            c = PhiCoordinate(r, phi)
             fd_f = (f_at(r, phi + h) - f_at(r, phi - h)) / (2 * h)
             fd_rho = (rho_at(r, phi + h) - rho_at(r, phi - h)) / (2 * h)
-            assert f_phase_deriv(c) == pytest.approx(fd_f, rel=1e-7, abs=1e-7)
-            assert rho_deriv(c) == pytest.approx(fd_rho, rel=1e-7)
+            assert f_deriv_at(r, phi) == pytest.approx(fd_f, rel=1e-7, abs=1e-7)
+            assert rho_deriv_at(r, phi) == pytest.approx(fd_rho, rel=1e-7)

@@ -299,6 +299,18 @@ def test_ks_monotone_chain():
         assert all(a > b for a, b in zip(chain, chain[1:])), (r, chain)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.lists(st.floats(-1.0, 10.0), max_size=40))
+def test_ks_distance_matches_a_per_point_loop(r, points):
+    d = FussCatalanDist(r)
+    m = EmpiricalMeasure(tuple(points))
+    reference = 0.0
+    for i, x in enumerate(m.points):
+        c = d.cdf(x)
+        reference = max(reference, abs((i + 1) / m.n - c), abs(i / m.n - c))
+    assert ks_distance(m, d) == reference
+
+
 def test_local_zero_count():
     params = ModelParams(1, (0,), 100)
     observed, predicted = local_zero_count(params, 1.0, 3.0, Fraction(1, 10**6))
