@@ -162,10 +162,8 @@ def cmd_fig1(parser, args) -> int:
 
 def cmd_oracle(parser, args) -> int:
     # grid-size violations are usage errors, not computational failures
-    if args.m < 8 or args.m**args.r > contour.NODE_GUARD:
-        parser.error(
-            f"grid m={args.m} violates 8 <= m and m^r <= {contour.NODE_GUARD}"
-        )
+    if args.m < 8:
+        parser.error(f"grid m={args.m} violates 8 <= m")
     if args.probe == "contour":
         params = _params(parser, args)
         grid = contour.QuadratureGrid(params.r, args.m)

@@ -8,11 +8,21 @@ polynomial equals
                       (1 - b e^{-i sum_j t_j})^n e^{-i sum_j nu_j t_j} dt,
 
 with a = sin((r+1)phi)/sin(r phi) and b = sin((r+1)phi)/sin(phi).  The
-integrand is entire and 2 pi periodic, so the plain tensor-product
-trapezoid sum converges spectrally in the per-axis point count.  The
-saddle-point value assembled from the Hessian data provides the matching
-large-n approximation, and a brute grid search verifies that the
-modulus-squared profile peaks exactly at (+-phi, ..., +-phi).
+integrand is entire and 2 pi periodic, so the tensor-product trapezoid
+sum on m equispaced points per axis converges spectrally in m.
+
+That sum never visits its m^r nodes.  The integrand is a product of the
+per-axis vectors u_j[k] = exp(n a e^{i t_k}) e^{-i nu_j t_k} and a
+function of sum_j t_j.  On the nodes t_k = -pi + 2 pi k / m, a sum of r
+nodes is congruent mod 2 pi to t_K - (r-1) pi with K = sum_j k_j mod m,
+so the trapezoid sum equals the cyclic convolution u_1 * ... * u_r dotted
+with (1 - b (-1)^(r-1) e^{-i t_K})^n: (r-1) direct convolutions of m^2
+operations each.  The same identity turns the grid maximum of the
+modulus-squared profile h into (r-1) max-plus convolutions of 2 a cos t_k.
+
+The saddle-point value assembled from the Hessian data provides the
+matching large-n approximation, and the grid maximum of h is checked to
+lie within one cell of (+-phi, ..., +-phi).
 """
 
 from __future__ import annotations
@@ -23,19 +33,24 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import geometry
 from .errors import AsymmetryWarning, DomainError, GuardExceeded
 from .geometry import PhiCoordinate
 from .poly import ModelParams
 
-NODE_GUARD = 10**8
 _IMAG_RESIDUAL_REL = 1e-10
+_MAX_PLUS_ROWS = 32  # rows of the m x m max-plus sums held at once
 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Equispaced periodic nodes on [-pi, pi] per axis; m^r total points."""
+    """Equispaced periodic nodes t_k = -pi + 2 pi k / m on each of r axes.
+
+    The trapezoid sums over the m^r tensor nodes are evaluated as cyclic
+    convolutions along the axes, (r-1) m^2 operations in all.
+    """
 
     r: int
     m: int
@@ -45,22 +60,44 @@ class QuadratureGrid:
             raise DomainError(f"dimension r must be >= 1, got {self.r}")
         if self.m < 8:
             raise GuardExceeded(f"need at least 8 points per axis, got {self.m}")
-        if self.m**self.r > NODE_GUARD:
-            raise GuardExceeded(
-                f"m^r = {self.m ** self.r} exceeds the node guard {NODE_GUARD}"
-            )
 
     @property
     def nodes(self) -> np.ndarray:
         return -math.pi + 2.0 * math.pi * np.arange(self.m) / self.m
 
 
-def _axis_sums(values_per_axis: list[np.ndarray]) -> np.ndarray:
-    """Broadcast sum over a tensor grid, one 1-d array per axis."""
-    total = values_per_axis[0]
-    for axis_vals in values_per_axis[1:]:
-        total = total[..., None] + axis_vals
-    return total
+def _rotations(vec: np.ndarray) -> np.ndarray:
+    """Read-only m x m view with rows[K, j] = vec[(K + j) mod m]."""
+    return sliding_window_view(np.concatenate((vec, vec)), vec.shape[0])[:-1]
+
+
+def _reflected(vec: np.ndarray) -> np.ndarray:
+    """vec[(-j) mod m] for j = 0..m-1."""
+    return vec[-np.arange(vec.shape[0]) % vec.shape[0]]
+
+
+def _cyclic_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[(K - k) mod m] b[k] for every K, by direct summation.
+
+    Direct rather than FFT: the FFT's error floor is absolute, relative
+    to the largest term, and the sums here cancel heavily.  matmul reads
+    the strided view in place, so no m x m array is allocated.
+    """
+    return _rotations(a) @ _reflected(b)
+
+
+def _max_plus_convolution(a: np.ndarray, b: np.ndarray):
+    """max_k a[(K - k) mod m] + b[k] for every K, and the maximizing k."""
+    m = a.shape[0]
+    rows, b_neg = _rotations(a), _reflected(b)
+    best = np.empty(m)
+    arg = np.empty(m, dtype=np.intp)
+    for lo in range(0, m, _MAX_PLUS_ROWS):
+        block = rows[lo : lo + _MAX_PLUS_ROWS] + b_neg
+        j = block.argmax(axis=1)
+        best[lo : lo + _MAX_PLUS_ROWS] = block[np.arange(block.shape[0]), j]
+        arg[lo : lo + _MAX_PLUS_ROWS] = -j % m
+    return best, arg
 
 
 def contour_eval(params: ModelParams, x: float, grid: QuadratureGrid) -> float:
@@ -82,28 +119,17 @@ def contour_eval(params: ModelParams, x: float, grid: QuadratureGrid) -> float:
     b = math.sin((r + 1) * phi) / math.sin(phi)
 
     t = grid.nodes
-    eit = np.exp(1j * t)
-    # accumulate slabs along the first axis in fixed order (deterministic,
-    # and keeps peak memory at m^(r-1) nodes)
-    total = 0.0 + 0.0j
-    l1 = 0.0
-    if r == 1:
-        integrand = np.exp(n * a * eit) * (1 - b * np.exp(-1j * t)) ** n
-        integrand = integrand * np.exp(-1j * params.nu[0] * t)
-        total = integrand.sum()
-        l1 = np.abs(integrand).sum()
-    else:
-        inner_e = _axis_sums([eit] * (r - 1))
-        inner_t = _axis_sums([t] * (r - 1))
-        # phase of the q factor over the trailing r-1 axes
-        inner_q = _axis_sums([params.nu[j] * t for j in range(1, r)])
-        for i in range(grid.m):
-            s_e = eit[i] + inner_e
-            s_t = t[i] + inner_t
-            slab = np.exp(n * a * s_e) * (1 - b * np.exp(-1j * s_t)) ** n
-            slab = slab * np.exp(-1j * (params.nu[0] * t[i] + inner_q))
-            total += slab.sum()
-            l1 += np.abs(slab).sum()
+    radial = np.exp(n * a * np.exp(1j * t))
+    # sum_j t_j = t_K - (r-1) pi (mod 2 pi), K = sum_j k_j mod m
+    tail = (1 - (-1) ** (r - 1) * b * np.exp(-1j * t)) ** n
+    radial_abs = np.abs(radial)
+    conv = radial * np.exp(-1j * params.nu[0] * t)
+    conv_abs = radial_abs
+    for nu_j in params.nu[1:]:
+        conv = _cyclic_convolution(conv, radial * np.exp(-1j * nu_j * t))
+        conv_abs = _cyclic_convolution(conv_abs, radial_abs)
+    total = conv @ tail
+    l1 = conv_abs @ np.abs(tail)  # sum of |integrand| over all m^r nodes
     prefactor = (math.sin(r * phi) / (n * math.sin((r + 1) * phi))) ** params.nu_sum
     value = total / grid.m**r * prefactor
     # imaginary part vanishes by t -> -t symmetry up to rounding; compare
@@ -156,51 +182,37 @@ def msp_value(params: ModelParams, c: PhiCoordinate) -> mp.mpf:
         return +value
 
 
-def h_profile(c: PhiCoordinate, points: np.ndarray) -> np.ndarray:
-    """Modulus-squared profile h at an array of torus points (last axis = r)."""
-    r, phi = c.r, c.phi
-    a = geometry.saddle_modulus_at(r, phi)
-    s1, sr1 = math.sin(phi), math.sin((r + 1) * phi)
-    cos_sum = np.cos(points).sum(axis=-1)
-    coord_sum = points.sum(axis=-1)
-    return np.exp(2 * a * cos_sum) * (
-        s1 * s1 + sr1 * sr1 - 2 * s1 * sr1 * np.cos(coord_sum)
-    )
-
-
 def verify_h_max(c: PhiCoordinate, grid_m: int):
     """Grid argmax of h and its distance to the nearer of (+-phi, ..., +-phi).
 
+    h = exp(2 a sum_j cos t_j) |sin phi - sin((r+1) phi) e^{-i sum_j t_j}|^2
+    is maximized in the log domain: a max-plus convolution of 2 a cos t_k
+    per axis plus the log of the second factor, backtracked to the nodes.
     The distance must stay within one grid cell diagonal, 2 pi sqrt(r)/m.
     """
     if grid_m < 64:
         raise DomainError(f"grid_m must be >= 64, got {grid_m}")
-    grid = QuadratureGrid(c.r, grid_m)  # reuses the m^r node guard
-    t = grid.nodes
+    t = QuadratureGrid(c.r, grid_m).nodes
     r, phi = c.r, c.phi
     a = geometry.saddle_modulus_at(r, phi)
     s1, sr1 = math.sin(phi), math.sin((r + 1) * phi)
 
-    best_val = -math.inf
-    best_idx = None
-    if r == 1:
-        vals = np.exp(2 * a * np.cos(t)) * (
-            s1 * s1 + sr1 * sr1 - 2 * s1 * sr1 * np.cos(t)
-        )
-        best_idx = (int(np.argmax(vals)),)
-        best_val = float(vals[best_idx[0]])
-    else:
-        inner_cos = _axis_sums([np.cos(t)] * (r - 1))
-        inner_sum = _axis_sums([t] * (r - 1))
-        for i in range(grid_m):
-            vals = np.exp(2 * a * (math.cos(t[i]) + inner_cos)) * (
-                s1 * s1 + sr1 * sr1 - 2 * s1 * sr1 * np.cos(t[i] + inner_sum)
-            )
-            flat = int(np.argmax(vals))
-            if vals.flat[flat] > best_val:
-                best_val = float(vals.flat[flat])
-                best_idx = (i,) + np.unravel_index(flat, vals.shape)
-    argmax = np.array([t[i] for i in best_idx])
+    axis = 2 * a * np.cos(t)
+    best, choices = axis, []
+    for _ in range(r - 1):
+        best, k = _max_plus_convolution(best, axis)
+        choices.append(k)
+    # cos(sum_j t_j) = (-1)^(r-1) cos t_K; the factor is >= 0 and may be 0
+    tail = s1 * s1 + sr1 * sr1 - 2 * s1 * sr1 * (-1) ** (r - 1) * np.cos(t)
+    with np.errstate(divide="ignore"):
+        log_tail = np.log(np.maximum(tail, 0.0))
+    K = int(np.argmax(best + log_tail))
+    idx = []
+    for k in reversed(choices):
+        idx.append(int(k[K]))
+        K = (K - idx[-1]) % grid_m
+    idx.append(K)
+    argmax = t[idx[::-1]]
     d_plus = float(np.linalg.norm(argmax - phi))
     d_minus = float(np.linalg.norm(argmax + phi))
     return argmax, min(d_plus, d_minus)

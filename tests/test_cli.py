@@ -157,8 +157,18 @@ def test_oracle_msp(capsys):
 def test_oracle_guard_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "contour", "--r", "3", "--nu", "0,0,0", "--n", "2",
-              "--x", "1", "--m", "2048"])
+              "--x", "1", "--m", "4"])
     assert exc.value.code == 2
+
+
+def test_oracle_contour_large_grid(capsys):
+    # 2048^3 nominal nodes: the convolution sums cost 2 * 2048^2
+    code, out, _ = run_cli(
+        capsys, "oracle", "contour", "--r", "3", "--nu", "0,0,0", "--n", "2",
+        "--x", "1", "--m", "2048",
+    )
+    assert code == 0
+    assert json.loads(out)["rel_error"] < 1e-10
 
 
 def test_computational_failure_is_exit_1(capsys):

@@ -1,12 +1,16 @@
+import itertools
 import math
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from fctk import geometry
 from fctk.asymptotics import pr_approx
-from fctk.contour import QuadratureGrid, contour_eval, h_profile, msp_value, verify_h_max
+from fctk.contour import QuadratureGrid, contour_eval, msp_value, verify_h_max
 from fctk.errors import DomainError, GuardExceeded
 from fctk.geometry import PhiCoordinate, rho_at
 from fctk.poly import ModelParams, build_f, eval_exact, rescale_arg
@@ -16,12 +20,44 @@ def exact_rescaled(params, x):
     return eval_exact(rescale_arg(build_f(params), params), Fraction(x))
 
 
+def brute_contour_sum(params, x, m):
+    """The torus trapezoid sum node by node, one m^(r-1) slab at a time."""
+    r, n = params.r, params.n
+    phi = geometry.rho_inv(r, float(x)).phi
+    a = geometry.saddle_modulus_at(r, phi)
+    b = math.sin((r + 1) * phi) / math.sin(phi)
+    t = QuadratureGrid(r, m).nodes
+    mesh = np.meshgrid(*[t] * (r - 1), indexing="ij")
+    inner_e = sum(np.exp(1j * s) for s in mesh)
+    inner_t = sum(mesh)
+    inner_q = sum(nu_j * s for nu_j, s in zip(params.nu[1:], mesh))
+    total = 0.0 + 0.0j
+    for t_i in t:
+        slab = np.exp(n * a * (np.exp(1j * t_i) + inner_e))
+        slab = slab * (1 - b * np.exp(-1j * (t_i + inner_t))) ** n
+        total += (slab * np.exp(-1j * (params.nu[0] * t_i + inner_q))).sum()
+    prefactor = (math.sin(r * phi) / (n * math.sin((r + 1) * phi))) ** params.nu_sum
+    return float((total / m**r * prefactor).real)
+
+
+def h_profile(c, points):
+    """Modulus-squared profile h at an array of torus points (last axis = r)."""
+    r, phi = c.r, c.phi
+    a = geometry.saddle_modulus_at(r, phi)
+    s1, sr1 = math.sin(phi), math.sin((r + 1) * phi)
+    cos_sum = np.cos(points).sum(axis=-1)
+    coord_sum = points.sum(axis=-1)
+    return np.exp(2 * a * cos_sum) * (
+        s1 * s1 + sr1 * sr1 - 2 * s1 * sr1 * np.cos(coord_sum)
+    )
+
+
 def test_grid_guards():
     QuadratureGrid(3, 96)
     with pytest.raises(GuardExceeded):
         QuadratureGrid(1, 4)
-    with pytest.raises(GuardExceeded):
-        QuadratureGrid(3, 1000)  # 1e9 nodes
+    # no m^r node guard: the sums cost (r-1) m^2, never m^r
+    assert len(QuadratureGrid(3, 1000).nodes) == 1000
     g = QuadratureGrid(2, 16)
     assert len(g.nodes) == 16
     assert g.nodes[0] == -math.pi
@@ -38,6 +74,42 @@ def test_contour_matches_exact():
         approx = contour_eval(params, float(x), QuadratureGrid(params.r, m))
         exact = float(exact_rescaled(params, x))
         assert abs(approx - exact) <= tol * abs(exact)
+
+
+def test_contour_matches_brute_tensor_sum():
+    cases = [
+        (ModelParams(1, (0,), 3), Fraction(2)),
+        (ModelParams(1, (2,), 5), Fraction(1, 3)),
+        (ModelParams(2, (1, 2), 2), Fraction(3)),
+        (ModelParams(2, (0, 0), 6), Fraction(27, 8)),
+        (ModelParams(3, (2, 4, 5), 4), Fraction(4)),
+        (ModelParams(3, (0, 1, 0), 7), Fraction(1, 2)),
+    ]
+    for (params, x), m in itertools.product(cases, (16, 32)):
+        brute = brute_contour_sum(params, x, m)
+        fast = contour_eval(params, float(x), QuadratureGrid(params.r, m))
+        assert abs(fast - brute) <= 1e-12 * abs(brute), (params, x, m, fast, brute)
+
+
+@st.composite
+def contour_cases(draw):
+    r = draw(st.integers(1, 5))
+    nu = draw(st.tuples(*[st.integers(0, 3)] * r))
+    n = draw(st.integers(1, 8))
+    q = draw(st.integers(1, 64))
+    xs = geometry.x_star(r)
+    p = draw(st.integers(1, math.ceil(xs * q) - 1))
+    return ModelParams(r, nu, n), Fraction(p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(contour_cases())
+def test_contour_matches_exact_property(case):
+    params, x = case
+    exact = exact_rescaled(params, x)
+    assume(exact != 0)
+    approx = contour_eval(params, float(x), QuadratureGrid(params.r, 256))
+    assert abs(approx - float(exact)) <= 1e-8 * abs(float(exact))
 
 
 def test_contour_spectral_convergence():
@@ -126,6 +198,18 @@ def test_h_max_examples():
     assert dist <= 2 * math.pi * math.sqrt(2) / 256
     with pytest.raises(DomainError):
         verify_h_max(PhiCoordinate(1, 0.5), 32)
+
+
+def test_h_max_matches_brute_grid_maximum():
+    for r, m in ((1, 64), (2, 64), (3, 64)):
+        t = QuadratureGrid(r, m).nodes
+        pts = np.stack(np.meshgrid(*[t] * r, indexing="ij"), axis=-1).reshape(-1, r)
+        for frac in (0.01, 0.3, 2 / 3, 0.99):
+            c = PhiCoordinate(r, frac * math.pi / (r + 1))
+            grid_max = h_profile(c, pts).max()
+            argmax, _ = verify_h_max(c, m)
+            # values, not indices: +phi and -phi tie up to rounding
+            assert abs(h_profile(c, argmax) - grid_max) <= 1e-12 * grid_max
 
 
 def test_h_symmetry_exact():
