@@ -87,6 +87,8 @@ def cmd_poly(parser, args) -> int:
 
 def cmd_zeros(parser, args) -> int:
     params = _params(parser, args)
+    if args.tol <= 0:
+        parser.error("tol must be positive")
     rescaled = poly.rescale_arg(poly.build_f(params), params)
     enclosures = zeros.isolate_zeros(
         rescaled, args.tol, separators=asymptotics.zero_separators(params)
@@ -162,8 +164,9 @@ def cmd_fig1(parser, args) -> int:
 
 def cmd_oracle(parser, args) -> int:
     # grid-size violations are usage errors, not computational failures
-    if args.m < 8:
-        parser.error(f"grid m={args.m} violates 8 <= m")
+    least = 64 if args.probe == "hmax" else 8
+    if args.m < least:
+        parser.error(f"grid m={args.m} violates {least} <= m for oracle {args.probe}")
     if args.probe == "contour":
         params = _params(parser, args)
         grid = contour.QuadratureGrid(params.r, args.m)
@@ -209,8 +212,8 @@ def cmd_oracle(parser, args) -> int:
 
 def cmd_rmt(parser, args) -> int:
     params = _params(parser, args)
-    if args.trials < 1:
-        parser.error("trials must be >= 1")
+    if args.trials < 1 or params.n < 1:
+        parser.error("trials and n must be >= 1")
     measure = rmt.aggregate_measure(params, args.trials, args.seed)
     dist = fuss_catalan.FussCatalanDist(params.r)
     payload = {

@@ -22,7 +22,7 @@ class QuadratureFailure(FctkError):
 
 
 class BranchAmbiguity(FctkError):
-    """Analytic continuation passed too close to a branch point."""
+    """No Stieltjes root clears D's margin or the Herglotz test: z is at a branch point."""
 
 
 class NotSquareFree(FctkError):

@@ -157,10 +157,11 @@ def solve_trinomial(r: int, x: complex) -> list[complex]:
 
     Companion-matrix eigenvalues followed by two Newton polish steps per
     root; robust up to the double root at the real edge x = x_star(r).
+    Residuals are relative to |w|^(r+1) + |x w| + |x|, finite for |x| <= 1e100.
     """
-    if x == 0:
-        raise DomainError("x must be nonzero")
     x = complex(x)
+    if not 0 < abs(x) <= 1e100:
+        raise DomainError(f"x must satisfy 0 < |x| <= 1e100, got {x}")
     coeffs = [1.0] + [0.0] * (r - 1) + [-x, x]
     roots = [complex(w) for w in np.roots(coeffs)]
     polished = []
@@ -168,12 +169,12 @@ def solve_trinomial(r: int, x: complex) -> list[complex]:
         for _ in range(2):
             fw = w ** (r + 1) - x * w + x
             dfw = (r + 1) * w**r - x
-            if abs(dfw) > 1e-8 * (1 + abs(w) ** r) * (1 + abs(x)):
+            if abs(dfw) > 1e-8 * ((r + 1) * abs(w) ** r + abs(x)):
                 w = w - fw / dfw
         polished.append(w)
-    scale = (1 + abs(x)) * (1 + max(abs(w) for w in polished) ** (r + 1))
-    worst = max(abs(w ** (r + 1) - x * w + x) for w in polished)
-    if worst > _TRINOMIAL_RESIDUAL_REL * scale:
+    size = [abs(w) ** (r + 1) + abs(x * w) + abs(x) for w in polished]
+    worst = max(abs(w ** (r + 1) - x * w + x) / s for w, s in zip(polished, size))
+    if worst > _TRINOMIAL_RESIDUAL_REL:
         raise ConvergenceFailure(
             f"trinomial residual {worst} above tolerance after polish "
             f"(r={r}, x={x}, 2 Newton steps per root)"

@@ -195,6 +195,32 @@ def test_rmt_zero_trials_usage(capsys):
     assert exc.value.code == 2
 
 
+def test_rmt_zero_degree_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rmt", "--r", "1", "--nu", "0", "--n", "0", "--trials", "1"])
+    assert exc.value.code == 2
+
+
+def test_zeros_zero_tol_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zeros", "--r", "1", "--nu", "0", "--n", "5", "--tol", "0"])
+    assert exc.value.code == 2
+
+
+def test_hmax_small_grid_usage(capsys):
+    # verify_h_max needs m >= 64; contour accepts m = 32
+    for m in ("8", "32", "63"):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "hmax", "--r", "2", "--phi", "0.4", "--m", m])
+        assert exc.value.code == 2
+    code, out, _ = run_cli(capsys, "oracle", "hmax", "--r", "2", "--phi", "0.4", "--m", "64")
+    assert code == 0 and json.loads(out)["argmax"]
+    code, _, _ = run_cli(
+        capsys, "oracle", "contour", "--r", "1", "--nu", "0", "--n", "2", "--x", "1", "--m", "32"
+    )
+    assert code == 0
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath as mp
@@ -7,9 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fctk.errors import BranchAmbiguity, DomainError
+from fctk import geometry
+from fctk.errors import BranchAmbiguity, DomainError, FctkError
 from fctk.fuss_catalan import FussCatalanDist, identity_check
-from fctk.geometry import PhiCoordinate, f_deriv_at, rho_at, rho_deriv_at, rho_inv
+from fctk.geometry import (
+    PhiCoordinate,
+    f_deriv_at,
+    rho_at,
+    rho_deriv_at,
+    rho_inv,
+    saddle_modulus_at,
+)
 
 
 def mp_angle(r, x):
@@ -258,8 +267,10 @@ def test_stieltjes_branch():
             assert residual <= 1e-10 * (1 + abs(z)) * (1 + abs(w) ** (r + 1))
     with pytest.raises(DomainError):
         FussCatalanDist(2).stieltjes(1.0)
-    with pytest.raises(BranchAmbiguity):
-        FussCatalanDist(1).stieltjes(4.0 + 1e-9)
+    # 1e-9 right of the edge the two real roots are 6e-5 apart
+    z = 4.0 + 1e-9
+    closed = (1 - mp.sqrt(1 - 4 / mp.mpf(z))) / 2
+    assert FussCatalanDist(1).stieltjes(z) == pytest.approx(float(closed), rel=1e-9)
 
 
 def test_stieltjes_matches_marchenko_pastur_quadrature():
@@ -284,3 +295,142 @@ def test_stieltjes_moments():
         for n, value in enumerate(mom):
             exact = float(d.moment_exact(n))
             assert abs(value - exact) <= 1e-6 * exact
+
+
+def stieltjes_problems(r, z, value):
+    """Residual of w = z F, the Herglotz sign and |F| dist(z, cut) <= 1."""
+    w = z * value
+    problems = []
+    if abs(w ** (r + 1) - z * w + z) > 1e-12 * (abs(w) ** (r + 1) + abs(z * w) + abs(z)):
+        problems.append("residual")
+    if z.imag != 0 and not value.imag * z.imag < 0:
+        problems.append("herglotz")
+    xs = float(geometry.x_star(r))
+    if abs(value) * abs(z - min(max(z.real, 0.0), xs)) > 1 + 1e-12:
+        problems.append("bound")
+    return problems
+
+
+def test_stieltjes_near_the_cut():
+    # within 1e-9 of the cut w sits on the boundary saddle a(phi) e^{-+i phi}
+    for r in (1, 2, 3, 4):
+        d = FussCatalanDist(r)
+        for frac in np.linspace(0.01, 0.99, 25):
+            x = frac * d.support[1]
+            phi = rho_inv(r, x).phi
+            saddle = saddle_modulus_at(r, phi) * cmath.exp(1j * phi)
+            for sign in (1, -1):
+                z = complex(x, sign * 1e-9)
+                w = z * d.stieltjes(z)
+                assert abs(w - (saddle.conjugate() if sign > 0 else saddle)) <= 1e-6
+                z = complex(x, sign * 1e-3)
+                assert stieltjes_problems(r, z, d.stieltjes(z)) == []
+
+
+def test_stieltjes_matches_the_series():
+    # F(z) = sum FC_k z^-(k+1) for |z| > x_star; the tail past 120 terms is below 2^-100
+    for r in (1, 2, 3, 4, 5):
+        d = FussCatalanDist(r)
+        for scale in (2.0, 5.0, 1e3):
+            for angle in (0.0, 0.7, 2.0, math.pi, -1.3):
+                z = scale * d.support[1] * cmath.exp(1j * angle)
+                series, power = 0j, 1 / z
+                for k in range(120):
+                    series += math.comb((r + 1) * k, k) / (r * k + 1) * power
+                    power /= z
+                assert abs(d.stieltjes(z) - series) <= 1e-12 * abs(series)
+
+
+def test_stieltjes_matches_density_quadrature():
+    # F(z) = (1/pi) integral of f'(phi) / (z - rho(phi)) over the angle interval
+    for r in (2, 3):
+        d = FussCatalanDist(r)
+        xs = d.support[1]
+        top = math.pi / (r + 1)
+        for z in (0.5 * xs + 0.01j, 0.5 * xs - 0.01j, 0.1 * xs + 0.05j, 0.9 * xs - 0.02j,
+                  xs + 0.01, -0.01 + 0j, -0.01 + 0.01j, complex(3, 4)):
+
+            def kernel(phi, part):
+                return part(f_deriv_at(r, phi) / (math.pi * (z - rho_at(r, phi))))
+
+            peak = [rho_inv(r, z.real).phi] if 0 < z.real < xs else None
+            parts = [
+                quad(kernel, 0.0, top, args=(part,), points=peak, epsabs=0, epsrel=1e-13,
+                     limit=400)[0]
+                for part in (lambda v: v.real, lambda v: v.imag)
+            ]
+            oracle = complex(*parts)
+            assert abs(d.stieltjes(z) - oracle) <= 1e-9 * abs(oracle)
+
+
+def test_stieltjes_edge_inputs():
+    d = FussCatalanDist(2)
+    for z in (math.nan, math.inf, -math.inf, complex(math.nan, 1.0), complex(1.0, math.inf)):
+        with pytest.raises(DomainError):
+            d.stieltjes(z)
+    # F = 1/z + 1/z^2 + ...; the trinomial's terms overflow past |z| = 1e100
+    z = 1e100 * cmath.exp(1j)
+    assert abs(d.stieltjes(z) - 1 / z) <= 1e-15 * abs(1 / z)
+    with pytest.raises(FctkError):
+        d.stieltjes(1e300 * (1 + 1j))
+    # next to the hard edge; the continuation refused both for its path clearance
+    for r in (1, 2, 3, 4, 5):
+        for z in (complex(-1e-300), 1e-300j):
+            assert stieltjes_problems(r, z, FussCatalanDist(r).stieltjes(z)) == []
+
+
+def test_stieltjes_ambiguous_next_to_the_soft_edge():
+    # one ulp right of x_star the two real roots are closer than their error
+    for r in (1, 2, 3, 4):
+        z = math.nextafter(float(geometry.x_star(r)), math.inf)
+        with pytest.raises(BranchAmbiguity):
+            FussCatalanDist(r).stieltjes(z)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = geometry.solve_trinomial
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(geometry, "solve_trinomial", counted)
+    return calls
+
+
+def test_one_trinomial_solve_per_value(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    d = FussCatalanDist(3)
+    d.stieltjes(complex(3, 7))
+    assert len(calls) == 1
+    d.stieltjes_moments(4)
+    assert len(calls) == 1 + 32
+    d.stieltjes_moments(2, points=8)
+    assert len(calls) == 1 + 32 + 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.floats(-0.5, 1.5),
+    st.floats(-16.0, 2.0),
+    st.sampled_from((1.0, -1.0, 0.0)),
+)
+def test_stieltjes_property(r, t, log_gap, side):
+    # z from 1e-16 to 100 off the cut, or on the real axis outside it
+    d = FussCatalanDist(r)
+    xs = d.support[1]
+    z = complex(t * xs, side * 10.0**log_gap)
+    if side == 0.0 and 0.0 <= z.real <= xs:
+        gap = 10.0**log_gap
+        z = complex(max(xs + gap, math.nextafter(xs, math.inf)) if t > 0.5 else -gap)
+    try:
+        value = d.stieltjes(z)
+    except BranchAmbiguity:
+        return
+    assert stieltjes_problems(r, z, value) == []
+    if r == 1:
+        closed = complex((1 - mp.sqrt(1 - 4 / mp.mpc(z))) / 2)
+        assert abs(value - closed) <= 1e-6 * abs(closed)
+        assert abs(value - closed) < abs(value - (1 - closed))

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fctk.errors import DomainError
 from fctk.geometry import (
@@ -162,6 +164,32 @@ def test_solve_trinomial():
 
     with pytest.raises(DomainError):
         solve_trinomial(2, 0)
+    for x in (math.nan, math.inf, complex(1, math.inf), 1e300 * (1 + 1j)):
+        with pytest.raises(DomainError):
+            solve_trinomial(2, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.floats(-300.0, 100.0),
+    st.floats(-math.pi, math.pi),
+    st.floats(-16.0, 0.0),
+)
+def test_trinomial_residual_property(r, log_mod, angle, log_gap):
+    # z anywhere from 1e-300 to 1e100 in modulus, and z within 1e-16..1 of the cut
+    xs = float(x_star(r))
+    far = 10.0**log_mod * complex(math.cos(angle), math.sin(angle))
+    near = complex((angle + math.pi) / (2 * math.pi) * xs, math.copysign(10.0**log_gap, angle))
+    for z in (far, near):
+        if z.imag == 0 and 0 <= z.real <= xs:
+            continue
+        roots = solve_trinomial(r, z)
+        assert len(roots) == r + 1
+        for w in roots:
+            res = abs(w ** (r + 1) - z * w + z)
+            assert res <= 1e-10 * (1 + abs(z)) * (1 + abs(w) ** (r + 1))
+            assert res <= 1e-10 * (abs(w) ** (r + 1) + abs(z * w) + abs(z))
 
 
 def test_trinomial_contains_saddles():
