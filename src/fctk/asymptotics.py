@@ -7,17 +7,17 @@ For x = rho(phi) the rescaled polynomial F_n(n^r x) behaves like
 with a(phi) = sin((r+1)phi)/sin(r phi) and the phase shift g from
 fctk.geometry.  The prefactor grows like exp(Theta(n)), so all magnitude
 bookkeeping is done in log-domain with an explicit sign bit and only the
-final assembly touches big floats.  The normalized polynomial
-(exact value divided by the full prefactor) is computed through the
-exact-rational evaluator at a rational approximant of rho(phi), which
-sidesteps the catastrophic cancellation of the alternating sum.
+final assembly touches big floats.  The normalized polynomial (the
+polynomial's value divided by the full prefactor) evaluates the exact
+integer coefficients at the big-float rho(phi) with a certified error
+bound (poly.eval_bounded), which absorbs the catastrophic cancellation
+of the alternating sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
@@ -27,11 +27,6 @@ from . import geometry, poly
 from .errors import DomainError, NonConvergence
 from .geometry import PhiCoordinate
 from .poly import ExactPolynomial, ModelParams
-
-# Denominator cap for the rational approximant of rho(phi) and the
-# absolute error budget it must meet on the normalized scale.
-RHO_APPROX_DENOMINATOR_CAP = 10**40
-RHO_APPROX_ERROR_BUDGET = 1e-30
 
 # Flagship grid reproduction: r=3, nu=(2,4,5), n=150 on [0.5 pi/4, 0.55 pi/4].
 FIG1_PARAMS = ModelParams(r=3, nu=(2, 4, 5), n=150)
@@ -171,21 +166,16 @@ def _rescaled_f(params: ModelParams) -> ExactPolynomial:
     return poly.rescale_arg(poly.build_f(params), params)
 
 
-def _rational_rho(r: int, phi_mp) -> Fraction:
-    """Best rational approximant of rho(phi) with bounded denominator."""
-    x_exact = poly._to_fraction(geometry.rho_at(r, phi_mp, mp))
-    return x_exact.limit_denominator(RHO_APPROX_DENOMINATOR_CAP)
-
-
 def normalized_poly(params: ModelParams, c: PhiCoordinate) -> float:
-    """Exact F_n(n^r rho(phi)) divided by the full prefactor; O(1) in n.
+    """F_n(n^r rho(phi)) divided by the full prefactor; O(1) in n.
 
-    The evaluation point is a rational approximant of rho(phi); its
-    first-order effect on the normalized value, delta moved through the
-    angle (delta/|rho'|) times the phase derivative (~ n f'), must stay
-    below RHO_APPROX_ERROR_BUDGET.  (A derivative bound from raw
-    coefficient norms would overshoot the oscillatory scale by exp(c n)
-    and reject perfectly good approximants.)
+    The point is rho(phi) in mpmath at the working precision prec of the
+    assembly, a dyadic within a few units of 2^-prec relative of the true
+    rho(phi).  poly.eval_bounded evaluates the polynomial exactly there
+    up to a certified error of at most 2^-64 of the value (a fixed-point
+    Horner, 2 (n + 1) units of 2^(log2 of the largest term - bits) at
+    most, with bits doubling until the bound holds).  The remaining
+    roundings are those of the mpmath assembly at prec bits.
     """
     _match(params, c)
     if params.n < 1:
@@ -194,19 +184,10 @@ def normalized_poly(params: ModelParams, c: PhiCoordinate) -> float:
     rescaled = _rescaled_f(params)
     with mp.workprec(prec):
         phi = mp.mpf(c.phi)
-        x_mp = geometry.rho_at(params.r, phi, mp)
-        x_rat = _rational_rho(params.r, phi)
-        delta = float(abs(x_mp - mp.mpf(x_rat.numerator) / x_rat.denominator))
-        value = poly.eval_exact(rescaled, x_rat)
+        x = geometry.rho_at(params.r, phi, mp)
+        value, _, exponent = poly.eval_bounded(rescaled, x, prec + 64, 64)
         lm = _log_prefactor(params, phi)
-        ratio = (mp.mpf(value.numerator) / value.denominator) / mp.e**lm
-    phi_shift = delta / abs(geometry.rho_deriv_at(params.r, c.phi))
-    sensitivity = (params.n * abs(geometry.f_deriv_at(params.r, c.phi)) + 30.0)
-    if sensitivity * phi_shift > RHO_APPROX_ERROR_BUDGET:
-        raise NonConvergence(
-            "rational approximant of rho(phi) too coarse for the "
-            "normalized-polynomial error budget"
-        )
+        ratio = mp.ldexp(value, exponent) / rescaled.integer_form[1] / mp.e**lm
     return float((-1) ** params.n * ratio)
 
 

@@ -149,6 +149,8 @@ def cmd_fc(parser, args) -> int:
 
 def cmd_fig1(parser, args) -> int:
     params = _params(parser, args)
+    if args.count < 1 or params.n < 1 or args.threads < 1:
+        parser.error("count, n and threads must be >= 1")
     lo, clamped_lo = _clamp_phi(params.r, args.phi_lo)
     hi, clamped_hi = _clamp_phi(params.r, args.phi_hi)
     if clamped_lo or clamped_hi:

@@ -7,10 +7,12 @@ The degree-n polynomial built here is
 together with its monic companion P_n = (-1)^n prod_j (n + nu_j)! F_n.
 Coefficients are kept as exact rationals: the alternating sum loses all
 significance in fixed precision once n is moderately large and the
-argument is of order n^r, so every downstream oracle (root isolation,
-contour quadrature, normalized-polynomial plots) evaluates through the
-exact integer kernel here: the lcm-scaled integer coefficients, computed
-once per polynomial, and a homogeneous Horner over the integers.
+argument is of order n^r, so every downstream oracle evaluates through
+the lcm-scaled integer coefficients, computed once per polynomial: root
+isolation and contour checks by an exact homogeneous Horner over the
+integers, normalized-polynomial plots by a fixed-point Horner with a
+certified error bound that ends at the exact one when the bound cannot
+be met.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from functools import cached_property
 from fractions import Fraction
 
 import mpmath as mp
+
+from .errors import DomainError
 
 DEFAULT_PRECISION_CAP_BITS = 16384
 
@@ -127,21 +131,71 @@ def eval_exact(poly: ExactPolynomial, x) -> Fraction:
     return Fraction(acc, lcm * den_pow)
 
 
-def _to_fraction(x) -> Fraction:
-    """Exact rational value of x (int, Fraction, float, or mpmath mpf)."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
+def eval_dyadic(a, num: int, shift: int) -> int:
+    """Exact 2^(shift n) p(num / 2^shift) for p = sum_k a[k] x^k, integer a."""
+    n = len(a) - 1
+    acc = a[n]
+    for k in range(n - 1, -1, -1):
+        acc = acc * num + (a[k] << (shift * (n - k)))
+    return acc
+
+
+def _dyadic_parts(x) -> tuple[int, int]:
+    """(M, e) with x == M 2^e, for an int, float, mpf or dyadic Fraction."""
     if isinstance(x, mp.mpf):
-        sign, man, exp, _ = mp.mpf(x)._mpf_
-        if man == 0:
-            if x == 0:
-                return Fraction(0)
-            raise ValueError(f"cannot convert non-finite value {x!r}")
-        q = Fraction(man, 1) * Fraction(2) ** exp
-        return -q if sign else q
-    raise TypeError(f"unsupported evaluation point type {type(x)!r}")
+        if not mp.isfinite(x):
+            raise DomainError(f"evaluation point must be finite, got {x!r}")
+        sign, man, exp, _ = x._mpf_
+        return (-man if sign else man), exp
+    try:
+        num, den = Fraction(x).as_integer_ratio()
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"evaluation point must be finite, got {x!r}") from exc
+    if den & (den - 1):
+        raise DomainError(f"evaluation point {x!r} is not dyadic")
+    return num, 1 - den.bit_length()
+
+
+def eval_bounded(poly: ExactPolynomial, x, bits: int, accuracy: int) -> tuple[int, int, int]:
+    """(v, err, g) with |L p(x) - v 2^g| <= err 2^g <= 2^-accuracy |L p(x)|.
+
+    (A, L) is poly.integer_form and x = M 2^e a finite dyadic, such as an
+    mpf.  Horner's rule runs in fixed point: with D = bitlen(M) + e, so
+    |x| < 2^D, and g = max_k (bitlen(A_k) + k D) - bits, about log2 of
+    the largest term A_k x^k less `bits`, the Horner partial sum
+    b_k = sum_(j >= k) A_j x^(j - k) is kept as an integer in units of
+    2^(g - k D), so one unit of it moves the result b_0 by less than
+    2^g.  Each step floors twice (the product with M and the
+    coefficient) and carries the earlier error times |M| / 2^bitlen(M)
+    < 1, so the bound err, counted in those units, grows by at most 2
+    per step and stays below 2 (n + 1).  The value is returned once
+    |v| >= err (2^accuracy + 1); otherwise `bits` doubles.  Once the
+    granularity 2^g is as fine as that of the exact value, the exact
+    integer Horner (eval_dyadic) ends the search with err = 0, so an
+    exact dyadic root reads 0.
+    """
+    ints = poly.integer_form[0]
+    man, e = _dyadic_parts(x)
+    n = len(ints) - 1
+    if n == 0 or man == 0:
+        return ints[0], 0, 0
+    beta = abs(man).bit_length()
+    d = beta + e
+    top = max(c.bit_length() + k * d for k, c in enumerate(ints) if c)
+    shift = max(-e, 0)
+    while top - bits > -n * shift:
+        g = top - bits
+        gk = g - n * d
+        acc = ints[n] >> gk if gk > 0 else ints[n] << -gk
+        err = 1 if gk > 0 else 0
+        for c in reversed(ints[:-1]):
+            gk += d
+            acc = (acc * man >> beta) + (c >> gk if gk > 0 else c << -gk)
+            err += 2 if gk > 0 else 1
+        if abs(acc) >= err * ((1 << accuracy) + 1):
+            return acc, err, g
+        bits *= 2
+    return eval_dyadic(ints, man << max(e, 0), shift), 0, -n * shift
 
 
 def poly_to_json(params: ModelParams, poly: ExactPolynomial) -> str:

@@ -5,7 +5,7 @@ coefficients span hundreds of orders of magnitude after the n^r
 rescaling, so floating point cannot certify sign-variation counts.  The
 sign at a point comes from one integer kernel, the homogeneous Horner
 sum of the lcm-scaled coefficients (ExactPolynomial.integer_form) at a
-dyadic point.
+dyadic point, poly.eval_dyadic.
 
 Certificate.  The oscillatory formula puts one zero of F_n(n^r x)
 between consecutive extrema of its cosine approximant
@@ -47,7 +47,7 @@ from .asymptotics import zero_separators
 from .errors import IsolationFailure, NotSquareFree
 from .fuss_catalan import FussCatalanDist
 from .geometry import x_star
-from .poly import ExactPolynomial, ModelParams, build_f, rescale_arg
+from .poly import ExactPolynomial, ModelParams, build_f, eval_dyadic, rescale_arg
 
 DEFAULT_TOL = Fraction(1, 10**12)
 
@@ -167,15 +167,6 @@ def _isolate01(a: list[int]):
     return intervals, exact
 
 
-def _eval_dyadic(a: list[int], num: int, shift: int) -> int:
-    """Integer with the sign of p(num / 2^shift)."""
-    n = len(a) - 1
-    acc = a[n]
-    for k in range(n - 1, -1, -1):
-        acc = acc * num + (a[k] << (shift * (n - k)))
-    return acc
-
-
 def _gcd_degree_mod_p(a: list[int], b: list[int], p: int) -> int:
     """Degree of gcd(a, b) over GF(p); requires p not dividing both leads."""
     am = [c % p for c in a]
@@ -262,7 +253,7 @@ def _seeded_brackets(a: list[int], separators, fujiwara: int):
     points.append(Fraction(2**fujiwara))
     if any(p >= q for p, q in zip(points, points[1:])):
         return None
-    values = [_eval_dyadic(a, *_dyadic(p)) for p in points]
+    values = [eval_dyadic(a, *_dyadic(p)) for p in points]
     if 0 in values:
         return None
     brackets = [
@@ -328,7 +319,7 @@ def _refine(a: list[int], lo: Fraction, hi: Fraction, tol: Fraction, v_lo=None, 
     n = len(a) - 1
     (lo_n, s), (hi_n, t) = _dyadic(lo), _dyadic(hi)
     if v_lo is None:
-        v_lo, v_hi = _eval_dyadic(a, lo_n, s), _eval_dyadic(a, hi_n, t)
+        v_lo, v_hi = eval_dyadic(a, lo_n, s), eval_dyadic(a, hi_n, t)
     if s < t:
         lo_n, v_lo, s = lo_n << (t - s), v_lo << ((t - s) * n), t
     elif t < s:
@@ -336,7 +327,7 @@ def _refine(a: list[int], lo: Fraction, hi: Fraction, tol: Fraction, v_lo=None, 
     if v_lo:
         pos_lo = v_lo > 0
     else:
-        pos_lo = _eval_dyadic([k * c for k, c in enumerate(a)][1:], lo_n, s) > 0
+        pos_lo = eval_dyadic([k * c for k, c in enumerate(a)][1:], lo_n, s) > 0
     m = 2
     while (
         v_lo == 0
@@ -356,20 +347,20 @@ def _refine(a: list[int], lo: Fraction, hi: Fraction, tol: Fraction, v_lo=None, 
             if j == (1 << m):
                 j -= 1  # the cell [N - 1, N] ends at the known upper end
             x0 = lo_f + j * cell
-            v0 = v_lo_f if j == 0 else _eval_dyadic(a, x0, shift)
+            v0 = v_lo_f if j == 0 else eval_dyadic(a, x0, shift)
             if v0 == 0:
                 return (Fraction(x0, 1 << shift),) * 2
             if (v0 > 0) == pos_lo:
                 # the root lies right of x0: test the cell [x0, x0 + cell]
                 x1 = x0 + cell
-                v1 = v_hi_f if x1 == hi_f else _eval_dyadic(a, x1, shift)
+                v1 = v_hi_f if x1 == hi_f else eval_dyadic(a, x1, shift)
                 if v1 == 0:
                     return (Fraction(x1, 1 << shift),) * 2
                 ok = (v1 > 0) != pos_lo
             else:
                 # the root lies left of x0: test the cell [x0 - cell, x0]
                 x0, x1, v1 = x0 - cell, x0, v0
-                v0 = v_lo_f if x0 == lo_f else _eval_dyadic(a, x0, shift)
+                v0 = v_lo_f if x0 == lo_f else eval_dyadic(a, x0, shift)
                 if v0 == 0:
                     return (Fraction(x0, 1 << shift),) * 2
                 ok = (v0 > 0) == pos_lo
@@ -379,7 +370,7 @@ def _refine(a: list[int], lo: Fraction, hi: Fraction, tol: Fraction, v_lo=None, 
                 continue
             m = max(2, m // 2)
         mid, s = lo_n + hi_n, s + 1
-        v_mid = _eval_dyadic(a, mid, s)
+        v_mid = eval_dyadic(a, mid, s)
         if v_mid == 0:
             return (Fraction(mid, 1 << s),) * 2
         lo_n, hi_n, v_lo, v_hi = 2 * lo_n, 2 * hi_n, v_lo << n, v_hi << n

@@ -1,32 +1,57 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from fctk import poly
 from fctk.asymptotics import (
     FIG1_COUNT,
     FIG1_PARAMS,
     FIG1_PHI_HI,
     FIG1_PHI_LO,
+    _log_prefactor,
     cosine_approximant,
     fig1_dataset,
     normalized_poly,
     pr_approx,
     pr_prefactor_log,
 )
-from fctk.errors import DomainError
+from fctk.errors import DomainError, FctkError
 from fctk.geometry import PhiCoordinate, rho_at
 from fctk.poly import ModelParams, build_f, eval_exact, rescale_arg
 from tests.test_poly import laguerre_recurrence
 
 
+def _rho_fraction(r, phi, dps, digits):
+    """rho(phi) at dps digits, as a rational with a denominator of at most 10^digits."""
+    with mp.workdps(dps):
+        _, man, exp, _ = rho_at(r, mp.mpf(phi), mp)._mpf_  # rho > 0
+    return (Fraction(man) * Fraction(2) ** exp).limit_denominator(10**digits)
+
+
 def exact_f_at_rho(params, phi, dps=60):
     """Oracle: exact rational evaluation of F_n(n^r x) near x = rho(phi)."""
-    from fctk.poly import _to_fraction
-
-    with mp.workdps(dps):
-        x = _to_fraction(rho_at(params.r, mp.mpf(phi), mp)).limit_denominator(10**40)
+    x = _rho_fraction(params.r, phi, dps, 40)
     return eval_exact(rescale_arg(build_f(params), params), x), x
+
+
+def normalized_reference(params, phi, digits=200):
+    """(-1)^n F_n(n^r x) / e^lm: the series summed exactly term by term at a
+    rational x with a denominator of at most 10^digits next to rho(phi),
+    and the log prefactor lm at 3 digits per digit of x."""
+    r, nu, n = params.r, params.nu, params.n
+    x = _rho_fraction(r, phi, 3 * digits, digits)
+    p, q = x.numerator, x.denominator
+    den = math.prod(math.factorial(n + v) for v in nu)
+    total = sum(
+        (-1) ** k * math.comb(n, k) * (n**r * p) ** k * q ** (n - k)
+        * (den // math.prod(math.factorial(k + v) for v in nu))
+        for k in range(n + 1)
+    )
+    with mp.workdps(3 * digits):
+        lm = _log_prefactor(params, mp.mpf(phi))
+        return (-1) ** n * mp.mpf(total) / (mp.mpf(den) * mp.mpf(q) ** n) / mp.e**lm
 
 
 def test_cosine_in_range():
@@ -150,6 +175,53 @@ def test_normalized_poly_crosses_zero_with_polynomial():
     else:
         pytest.skip("no sign change on probe window")
     assert ft * ft2 < 0
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_normalized_poly_edge_angles(r):
+    # both ends of the angle interval: a typed error or the reference value
+    params = ModelParams(r, (0,) * r, 40)
+    top = math.pi / (r + 1)
+    returned = []
+    for phi in (1e-300, 1e-6, top * (1 - 1e-15)):
+        try:
+            got = normalized_poly(params, PhiCoordinate(r, phi))
+        except FctkError:
+            continue
+        want = normalized_reference(params, phi)
+        assert abs(got - want) <= 1e-9 * abs(want), (phi, got, want)
+        returned.append(phi)
+    assert 1e-6 in returned
+
+
+def test_normalized_poly_matches_exact_series_on_fig1_grid():
+    step = (FIG1_PHI_HI - FIG1_PHI_LO) / (FIG1_COUNT - 1)
+    for i in range(0, FIG1_COUNT, 9):
+        phi = FIG1_PHI_LO + i * step
+        want = normalized_reference(FIG1_PARAMS, phi)
+        assert abs(normalized_poly(FIG1_PARAMS, PhiCoordinate(3, phi)) - want) <= 1e-12
+
+
+def test_fig1_grid_needs_no_exact_evaluation(monkeypatch):
+    # eval_bounded certifies every default row at its first precision; the
+    # exact Horner it ends at is counted too, and reached at a dyadic root
+    calls = {"eval_exact": 0, "eval_dyadic": 0}
+
+    def counted(name):
+        inner = getattr(poly, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(poly, name, wrapper)
+
+    counted("eval_exact")
+    counted("eval_dyadic")
+    fig1_dataset(FIG1_PARAMS, FIG1_PHI_LO, FIG1_PHI_HI, FIG1_COUNT)
+    assert calls == {"eval_exact": 0, "eval_dyadic": 0}
+    assert poly.eval_bounded(poly.ExactPolynomial((9, -38, 40)), 0.5, 64, 53)[0] == 0
+    assert calls == {"eval_exact": 0, "eval_dyadic": 1}
 
 
 def test_fig1_dataset_shape_and_defaults():

@@ -201,6 +201,13 @@ def test_rmt_zero_degree_usage(capsys):
     assert exc.value.code == 2
 
 
+def test_fig1_nonpositive_sizes_usage(capsys):
+    for flag, value in (("--count", "0"), ("--n", "0"), ("--threads", "0"), ("--threads", "-1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig1", flag, value])
+        assert exc.value.code == 2
+
+
 def test_zeros_zero_tol_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["zeros", "--r", "1", "--nu", "0", "--n", "5", "--tol", "0"])

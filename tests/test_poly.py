@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fctk.errors import DomainError
 from fctk.poly import (
     ExactPolynomial,
     ModelParams,
     build_f,
     build_p,
+    eval_bounded,
     eval_exact,
     poly_from_json,
     poly_to_json,
@@ -150,3 +154,62 @@ def test_params_validation():
         ModelParams(1, (0,), -1)
     with pytest.raises(ValueError):
         ExactPolynomial(())
+
+
+def _inside_bound(p, x, got, accuracy):
+    v, err, g = got
+    if isinstance(x, mp.mpf):
+        sign, man, e, _ = x._mpf_
+        x = Fraction((-1) ** sign * man) * Fraction(2) ** e
+    exact = eval_exact(p, Fraction(x)) * p.integer_form[1]
+    approx, bound = Fraction(v) * Fraction(2) ** g, Fraction(err) * Fraction(2) ** g
+    assert abs(exact - approx) <= bound
+    assert bound * 2**accuracy <= abs(exact)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda r: st.tuples(st.just(r), st.lists(st.integers(0, 5), min_size=r, max_size=r))
+    ),
+    st.integers(1, 60),
+    st.booleans(),
+    st.integers(-(2**80), 2**80).filter(bool),
+    st.sampled_from([-400, -150, -60, -20, -3, 0, 4, 40]),
+    st.integers(8, 160),
+    st.integers(1, 64),
+)
+def test_eval_bounded_holds_its_bound(rnu, n, rescaled, man, e, bits, accuracy):
+    # positive, negative, integer, tiny and huge dyadic points, the bound
+    # checked against the exact value; small `bits` forces escalation
+    r, nu = rnu
+    params = ModelParams(r, tuple(nu), n)
+    p = build_f(params)
+    if rescaled:
+        p = rescale_arg(p, params)
+    x = Fraction(man) * Fraction(2) ** e
+    _inside_bound(p, x, eval_bounded(p, x, bits, accuracy), accuracy)
+
+
+def test_eval_bounded_point_types_and_edges():
+    p = rescale_arg(build_f(ModelParams(3, (2, 4, 5), 40)), ModelParams(3, (2, 4, 5), 40))
+    for x in (mp.mpf("0.37"), mp.mpf("-0.37"), -2.75, 3, Fraction(-5, 1024), 2**70, mp.mpf(2) ** -300):
+        _inside_bound(p, x, eval_bounded(p, x, 64, 53), 53)
+    # constant polynomials and x = 0 are exact
+    ints, _ = p.integer_form
+    assert eval_bounded(p, 0, 64, 53) == (ints[0], 0, 0)
+    assert eval_bounded(ExactPolynomial((Fraction(-5, 3),)), 7, 64, 53) == (-5, 0, 0)
+    for bad in (Fraction(1, 3), float("nan"), mp.inf):
+        with pytest.raises(DomainError):
+            eval_bounded(p, bad, 64, 53)
+
+
+def test_eval_bounded_reads_an_exact_dyadic_root_as_zero():
+    # (2x - 1)(20x - 9) at its dyadic root 1/2: no fixed-point attempt can
+    # certify a sign, so the search ends at the exact Horner
+    p = ExactPolynomial((9, -38, 40))
+    for x in (Fraction(1, 2), 0.5, mp.mpf(0.5)):
+        v, err, _ = eval_bounded(p, x, 8, 64)
+        assert v == 0 and err == 0
+    near = Fraction(461, 1024)  # 2e-4 from the root 9/20: the terms cancel 14 bits
+    _inside_bound(p, near, eval_bounded(p, near, 8, 30), 30)
