@@ -25,7 +25,6 @@ from .errors import (
     FctkError,
     GuardExceeded,
     IsolationFailure,
-    NonConvergence,
     NotSquareFree,
     QuadratureFailure,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "GuardExceeded",
     "IsolationFailure",
     "ModelParams",
-    "NonConvergence",
     "NotSquareFree",
     "PRValue",
     "PhiCoordinate",

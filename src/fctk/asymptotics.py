@@ -12,6 +12,11 @@ polynomial's value divided by the full prefactor) evaluates the exact
 integer coefficients at the big-float rho(phi) with a certified error
 bound (poly.eval_bounded), which absorbs the catastrophic cancellation
 of the alternating sum.
+
+Every big-float assembly (here and in contour.msp_value) runs at the one
+precision of _working_prec, 140 + bitlen(n) + bitlen(r + sum(nu)) bits:
+an mpf's exponent is unbounded, so the precision needs to cover only the
+logarithms of the magnitudes, not the magnitudes themselves.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import mpmath as mp
 import numpy as np
 
 from . import geometry, poly
-from .errors import DomainError, NonConvergence
+from .errors import DomainError
 from .geometry import PhiCoordinate
 from .poly import ExactPolynomial, ModelParams
 
@@ -70,30 +75,41 @@ def _log_prefactor(params: ModelParams, phi):
 
 def _cos_argument(params: ModelParams, phi):
     r, n = params.r, params.n
-    a = geometry.saddle_modulus_at(r, phi, mp)
-    return n * (r * a * mp.sin(phi) - (r + 1) * phi) + geometry.g_shift_at(
-        r, params.nu, phi, mp
-    )
+    return geometry.g_shift_at(r, params.nu, phi, mp) - n * geometry.f_at(r, phi, mp)
 
 
-def _working_prec(params: ModelParams, c: PhiCoordinate) -> int:
-    """Bits needed to assemble exp(log_magnitude) with ~20 guard digits."""
-    with mp.workprec(128):
-        lm = _log_prefactor(params, mp.mpf(c.phi))
-        prec = max(128, 20 + int(mp.ceil(abs(lm) / mp.log(2))) + 64)
-    cap = poly.precision_cap_bits()
-    if prec > cap:
-        raise NonConvergence(
-            f"assembly needs {prec} bits, above the cap of {cap} "
-            f"(set FCTK_PRECISION_CAP to raise it)"
-        )
-    return prec
+def _working_prec(params: ModelParams) -> int:
+    """Bits for the big-float assembly: 140 + bitlen(n) + bitlen(r + sum(nu)).
+
+    The assembly needs lm = _log_prefactor and the phase n f - g to
+    2^-64 absolute, since e^lm and cos(n f - g) then come out to about
+    2^-64 relative and absolute.  Each is a sum of a few terms, each
+    computed to a few units of 2^-prec relative, so prec must exceed 64
+    plus log2 of the largest term T.  For a double phi in the open
+    interval, sin(phi) and sin(r phi) lie in [2 phi / pi, 1], above
+    2^-1075, and so does sin((r+1) phi) unless phi is within 2^-1075 of
+    pi/(r+1); the quartic bracket of _log_prefactor is about
+    ((r+1) phi)^2 at phi -> 0 and tends to (r+1)^2 at the top.  Every
+    logarithm is thus at most about 746 in modulus, and with s = r + sum(nu)
+
+        |(r/2 + sum(nu)) ln(sin r phi / (n sin (r+1) phi))| <= s (ln n + 1492),
+        |n r a(phi) cos phi|, |n ln(sin r phi / sin phi)|  <= n (r + 1),
+        |n f(phi)| <= n pi,  |g| <= 2 (s + 1),  the rest   <= 374 + 2 r,
+
+    so T < 2^(bitlen(n) + bitlen(s) + 11).  The rule leaves more than
+    128 bits below T: 64 for the accuracy asked and 64 spare, which also
+    cover a logarithm up to 2^60 times larger than assumed.
+    contour.msp_value assembles the same magnitudes (exp(-n p) with
+    |n p| <= n (r + 1 + ln r + pi) and powers of the same sines), so the
+    same precision serves it.
+    """
+    return 140 + params.n.bit_length() + (params.r + params.nu_sum).bit_length()
 
 
 def cosine_approximant(params: ModelParams, c: PhiCoordinate) -> float:
-    """cos(n (r a sin(phi) - (r+1) phi) + g(r, nu, phi)), in [-1, 1]."""
+    """cos(g(r, nu, phi) - n f(phi)), in [-1, 1]."""
     _match(params, c)
-    with mp.workprec(128):
+    with mp.workprec(_working_prec(params)):
         return float(mp.cos(_cos_argument(params, mp.mpf(c.phi))))
 
 
@@ -137,7 +153,7 @@ def pr_prefactor_log(params: ModelParams, c: PhiCoordinate) -> PRValue:
     _match(params, c)
     if params.n < 1:
         raise DomainError("prefactor requires degree n >= 1")
-    with mp.workprec(256):
+    with mp.workprec(_working_prec(params)):
         lm = _log_prefactor(params, mp.mpf(c.phi))
     return PRValue(log_magnitude=float(lm), sign_parity=params.n % 2)
 
@@ -147,8 +163,7 @@ def pr_approx(params: ModelParams, c: PhiCoordinate) -> PRValue:
     _match(params, c)
     if params.n < 1:
         raise DomainError("approximation requires degree n >= 1")
-    prec = _working_prec(params, c)
-    with mp.workprec(prec):
+    with mp.workprec(_working_prec(params)):
         phi = mp.mpf(c.phi)
         lm = _log_prefactor(params, phi)
         osc = mp.cos(_cos_argument(params, phi))
@@ -169,18 +184,21 @@ def _rescaled_f(params: ModelParams) -> ExactPolynomial:
 def normalized_poly(params: ModelParams, c: PhiCoordinate) -> float:
     """F_n(n^r rho(phi)) divided by the full prefactor; O(1) in n.
 
-    The point is rho(phi) in mpmath at the working precision prec of the
-    assembly, a dyadic within a few units of 2^-prec relative of the true
-    rho(phi).  poly.eval_bounded evaluates the polynomial exactly there
-    up to a certified error of at most 2^-64 of the value (a fixed-point
-    Horner, 2 (n + 1) units of 2^(log2 of the largest term - bits) at
-    most, with bits doubling until the bound holds).  The remaining
-    roundings are those of the mpmath assembly at prec bits.
+    The point is rho(phi) in mpmath at the working precision of the
+    assembly, prec = 140 + bitlen(n) + bitlen(r + sum(nu)) bits
+    (_working_prec), a dyadic within a few units of 2^-prec relative of
+    the true rho(phi).  poly.eval_bounded evaluates the polynomial
+    exactly there up to a certified error of at most 2^-64 of the value
+    (a fixed-point Horner, 2 (n + 1) units of 2^(log2 of the largest term
+    - bits) at most, starting at prec + 64 bits and doubling until the
+    bound holds, which absorbs the cancellation of the alternating sum).
+    The remaining roundings are those of the mpmath assembly at prec
+    bits.
     """
     _match(params, c)
     if params.n < 1:
         raise DomainError("normalization requires degree n >= 1")
-    prec = _working_prec(params, c)
+    prec = _working_prec(params)
     rescaled = _rescaled_f(params)
     with mp.workprec(prec):
         phi = mp.mpf(c.phi)
@@ -197,17 +215,8 @@ def fig1_row(params: ModelParams, phi: float) -> tuple[float, float, float]:
     return (phi, normalized_poly(params, c), cosine_approximant(params, c))
 
 
-def _fig1_task(args) -> tuple[float, float, float]:
-    r, nu, n, phi = args
-    return fig1_row(ModelParams(r=r, nu=nu, n=n), phi)
-
-
 def fig1_dataset(
-    params: ModelParams,
-    phi_lo: float,
-    phi_hi: float,
-    count: int,
-    workers: int = 1,
+    params: ModelParams, phi_lo: float, phi_hi: float, count: int
 ) -> list[tuple[float, float, float]]:
     """Rows (phi, F_tilde, c_n) at `count` equally spaced phi values."""
     if count < 1:
@@ -222,10 +231,4 @@ def fig1_dataset(
     else:
         step = (phi_hi - phi_lo) / (count - 1)
         grid = [phi_lo + i * step for i in range(count)]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        tasks = [(params.r, params.nu, params.n, phi) for phi in grid]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_fig1_task, tasks, chunksize=8))
     return [fig1_row(params, phi) for phi in grid]

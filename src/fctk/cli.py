@@ -149,8 +149,8 @@ def cmd_fc(parser, args) -> int:
 
 def cmd_fig1(parser, args) -> int:
     params = _params(parser, args)
-    if args.count < 1 or params.n < 1 or args.threads < 1:
-        parser.error("count, n and threads must be >= 1")
+    if args.count < 1 or params.n < 1:
+        parser.error("count and n must be >= 1")
     lo, clamped_lo = _clamp_phi(params.r, args.phi_lo)
     hi, clamped_hi = _clamp_phi(params.r, args.phi_hi)
     if clamped_lo or clamped_hi:
@@ -159,7 +159,7 @@ def cmd_fig1(parser, args) -> int:
         )
     if not lo < hi:
         parser.error("need phi_lo < phi_hi inside the angle interval")
-    rows = asymptotics.fig1_dataset(params, lo, hi, args.count, workers=args.threads)
+    rows = asymptotics.fig1_dataset(params, lo, hi, args.count)
     _emit(_csv(rows, "phi,F_tilde,c_n"), args.out)
     return 0
 
@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi-lo", type=float, default=asymptotics.FIG1_PHI_LO)
     p.add_argument("--phi-hi", type=float, default=asymptotics.FIG1_PHI_HI)
     p.add_argument("--count", type=int, default=asymptotics.FIG1_COUNT)
-    p.add_argument("--threads", type=int, default=1, help="worker process cap")
     add_out(p)
 
     p = sub.add_parser("oracle", help="independent numerical cross-checks")

@@ -36,6 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import geometry
+from .asymptotics import _working_prec
 from .errors import AsymmetryWarning, DomainError, GuardExceeded
 from .geometry import PhiCoordinate
 from .poly import ModelParams
@@ -152,15 +153,12 @@ def msp_value(params: ModelParams, c: PhiCoordinate) -> mp.mpf:
     the Gaussian integral normalization.  Equals the oscillatory
     approximation of fctk.asymptotics identically.
     """
-    from . import asymptotics  # local import; cycle with pr consistency tests
-
     if params.r != c.r:
         raise DomainError(f"params.r={params.r} does not match coordinate r={c.r}")
     if params.n < 1:
         raise DomainError("saddle approximation requires degree n >= 1")
     r, n = params.r, params.n
-    prec = asymptotics._working_prec(params, c)
-    with mp.workprec(prec):
+    with mp.workprec(_working_prec(params)):
         phi = mp.mpf(c.phi)
         s1, sr, sr1 = mp.sin(phi), mp.sin(r * phi), mp.sin((r + 1) * phi)
         a = sr1 / sr

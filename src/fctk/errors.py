@@ -5,12 +5,8 @@ class FctkError(Exception):
     """Base class for all computational failures raised by fctk."""
 
 
-class DomainError(FctkError):
+class DomainError(FctkError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
-
-
-class NonConvergence(FctkError):
-    """Big-float precision escalation hit the configured cap."""
 
 
 class ConvergenceFailure(FctkError):
@@ -34,7 +30,7 @@ class IsolationFailure(FctkError):
 
 
 class GuardExceeded(FctkError):
-    """A grid request exceeds the configured size guard."""
+    """A quadrature grid has fewer than 8 points per axis."""
 
 
 class DecompositionFailure(FctkError):

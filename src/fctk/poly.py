@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -27,13 +26,6 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import DomainError
-
-DEFAULT_PRECISION_CAP_BITS = 16384
-
-
-def precision_cap_bits() -> int:
-    """Big-float precision cap in bits; FCTK_PRECISION_CAP overrides."""
-    return int(os.environ.get("FCTK_PRECISION_CAP", DEFAULT_PRECISION_CAP_BITS))
 
 
 @dataclass(frozen=True)
@@ -46,15 +38,15 @@ class ModelParams:
 
     def __post_init__(self):
         if not isinstance(self.r, int) or self.r < 1:
-            raise ValueError(f"r must be a positive integer, got {self.r!r}")
+            raise DomainError(f"r must be a positive integer, got {self.r!r}")
         nu = tuple(int(v) for v in self.nu)
         object.__setattr__(self, "nu", nu)
         if len(nu) != self.r:
-            raise ValueError(f"nu must have length r={self.r}, got {nu}")
+            raise DomainError(f"nu must have length r={self.r}, got {nu}")
         if any(v < 0 for v in nu):
-            raise ValueError(f"offsets nu must be nonnegative, got {nu}")
+            raise DomainError(f"offsets nu must be nonnegative, got {nu}")
         if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"degree n must be a nonnegative integer, got {self.n!r}")
+            raise DomainError(f"degree n must be a nonnegative integer, got {self.n!r}")
 
     @property
     def nu_sum(self) -> int:
@@ -72,10 +64,10 @@ class ExactPolynomial:
 
     def __post_init__(self):
         if not self.coeffs:
-            raise ValueError("polynomial needs at least one coefficient")
+            raise DomainError("polynomial needs at least one coefficient")
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
         if len(self.coeffs) > 1 and self.coeffs[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
+            raise DomainError("leading coefficient must be nonzero")
 
     @property
     def degree(self) -> int:

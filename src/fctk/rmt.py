@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import DecompositionFailure
+from .errors import DecompositionFailure, DomainError
 from .poly import ModelParams
 from .zeros import EmpiricalMeasure
 
@@ -46,7 +46,7 @@ def sample_spectrum(
     |scale|^(2r)); it exists for the covariance check and defaults to 1.
     """
     if params.n < 1:
-        raise ValueError("need n >= 1 to draw a spectrum")
+        raise DomainError("need n >= 1 to draw a spectrum")
     dims = [params.n] + [params.n + v for v in params.nu]
     y = None
     for j in range(1, params.r + 1):
@@ -67,7 +67,7 @@ def sample_spectrum(
 def aggregate_measure(params: ModelParams, trials: int, seed: int) -> EmpiricalMeasure:
     """Pool `trials` independent spectra: draws 0..trials-1 of `seed`."""
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise DomainError(f"trials must be >= 1, got {trials}")
     pooled = np.concatenate(
         [sample_spectrum(params, seed, trial=t).values for t in range(trials)]
     )
@@ -77,8 +77,8 @@ def aggregate_measure(params: ModelParams, trials: int, seed: int) -> EmpiricalM
 def mean_moment(m: EmpiricalMeasure, k: int) -> float:
     """k-th raw moment of the empirical measure."""
     if k < 0:
-        raise ValueError(f"moment order must be >= 0, got {k}")
+        raise DomainError(f"moment order must be >= 0, got {k}")
     if m.n == 0:
-        raise ValueError("empty measure has no moments")
+        raise DomainError("empty measure has no moments")
     pts = np.asarray(m.points)
     return float(np.mean(pts**k))

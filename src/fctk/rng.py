@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 _MASK64 = (1 << 64) - 1
 _INDEX_BITS = 32
 
@@ -26,7 +28,7 @@ _INDEX_BITS = 32
 def stream_id(trial: int, index: int) -> int:
     """Key word 1 for stream `index` of draw `trial`: (trial << 32) | index."""
     if not (0 <= trial < 1 << _INDEX_BITS and 0 <= index < 1 << _INDEX_BITS):
-        raise ValueError(f"trial and index must lie in [0, 2^32), got {trial}, {index}")
+        raise DomainError(f"trial and index must lie in [0, 2^32), got {trial}, {index}")
     return (trial << _INDEX_BITS) | index
 
 

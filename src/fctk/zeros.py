@@ -44,7 +44,7 @@ from itertools import accumulate
 import numpy as np
 
 from .asymptotics import zero_separators
-from .errors import IsolationFailure, NotSquareFree
+from .errors import DomainError, IsolationFailure, NotSquareFree
 from .fuss_catalan import FussCatalanDist
 from .geometry import x_star
 from .poly import ExactPolynomial, ModelParams, build_f, eval_dyadic, rescale_arg
@@ -398,7 +398,7 @@ def isolate_zeros(
     """
     tol = Fraction(tol)
     if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise DomainError(f"tol must be positive, got {tol}")
     n = poly.degree
     if n == 0:
         return []
@@ -454,7 +454,7 @@ def local_zero_count(params: ModelParams, eps1: float, eps2: float, tol=DEFAULT_
     """Observed roots of F_n(n^r x) in (eps1, eps2) against n (cdf(eps2) - cdf(eps1))."""
     xs = float(x_star(params.r))
     if not (0.0 < eps1 < eps2 < xs):
-        raise ValueError(f"need 0 < eps1 < eps2 < {xs}")
+        raise DomainError(f"need 0 < eps1 < eps2 < {xs}")
     measure = rescaled_zero_measure(params, tol)
     observed = sum(1 for x in measure.points if eps1 < x < eps2)
     lo, hi = FussCatalanDist(params.r).cdf([eps1, eps2])

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fctk import poly
+from fctk import asymptotics, poly
 from fctk.asymptotics import (
     FIG1_COUNT,
     FIG1_PARAMS,
@@ -108,6 +110,32 @@ def test_pr_value_assembly_consistency():
     assert abs(recombined - v.assembled) <= 1e-10 * abs(v.assembled)
 
 
+@pytest.mark.parametrize(
+    "r, nu, n, frac",
+    [
+        (5, (5,) * 5, 5000, 1e-6),
+        (5, (5,) * 5, 5000, 0.5),
+        (5, (5,) * 5, 5000, 1 - 1e-12),
+        (1, (0,), 5000, 0.5),
+        (2, (0, 5), 60, 1e-300),
+        (1, (0,), 1, 0.3),
+    ],
+)
+def test_assembly_error_below_its_derived_bound(monkeypatch, r, nu, n, frac):
+    # _working_prec keeps more than 128 bits below the largest term of the
+    # log prefactor and the phase, so the assembly at that precision agrees
+    # with one at four times it to far below 2^-120 of the amplitude
+    params = ModelParams(r, nu, n)
+    c = PhiCoordinate(r, frac * math.pi / (r + 1))
+    rule = asymptotics._working_prec(params)
+    got = pr_approx(params, c).assembled
+    monkeypatch.setattr(asymptotics, "_working_prec", lambda p: 4 * rule)
+    want = pr_approx(params, c)
+    with mp.workprec(4 * rule):
+        amplitude = mp.e ** mp.mpf(want.log_magnitude)
+        assert abs(got - want.assembled) <= mp.mpf(2) ** -120 * amplitude
+
+
 def test_pr_approx_against_exact():
     # normalized deviation |exact - approx| / prefactor at (1, (0,), 100, pi/4)
     params = ModelParams(1, (0,), 100)
@@ -196,10 +224,33 @@ def test_normalized_poly_edge_angles(r):
 
 def test_normalized_poly_matches_exact_series_on_fig1_grid():
     step = (FIG1_PHI_HI - FIG1_PHI_LO) / (FIG1_COUNT - 1)
-    for i in range(0, FIG1_COUNT, 9):
-        phi = FIG1_PHI_LO + i * step
-        want = normalized_reference(FIG1_PARAMS, phi)
-        assert abs(normalized_poly(FIG1_PARAMS, PhiCoordinate(3, phi)) - want) <= 1e-12
+    rows = [(FIG1_PARAMS, FIG1_PHI_LO + i * step) for i in range(0, FIG1_COUNT, 9)]
+    rows.append((ModelParams(3, (2, 4, 5), 300), FIG1_PHI_LO + 100 * step))
+    for params, phi in rows:
+        want = normalized_reference(params, phi)
+        assert abs(normalized_poly(params, PhiCoordinate(3, phi)) - want) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.tuples(*[st.integers(0, 5)] * r),
+            st.integers(1, 80),
+            st.floats(0.02, 0.98),
+        )
+    )
+)
+def test_normalized_poly_property(case):
+    # the working precision 140 + bitlen(n) + bitlen(r + sum(nu)) against
+    # the exact series at a 200-digit rational rho(phi)
+    r, nu, n, frac = case
+    params = ModelParams(r, nu, n)
+    phi = frac * math.pi / (r + 1)
+    want = normalized_reference(params, phi)
+    got = normalized_poly(params, PhiCoordinate(r, phi))
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
 
 
 def test_fig1_grid_needs_no_exact_evaluation(monkeypatch):
@@ -234,12 +285,6 @@ def test_fig1_dataset_shape_and_defaults():
     for phi, ft, cn in rows:
         assert abs(ft - cn) < 0.25
         assert abs(ft) <= 1.5
-
-
-def test_fig1_workers_match_serial():
-    rows1 = fig1_dataset(ModelParams(1, (0,), 40), 0.5, 0.6, 6, workers=1)
-    rows2 = fig1_dataset(ModelParams(1, (0,), 40), 0.5, 0.6, 6, workers=2)
-    assert rows1 == rows2
 
 
 def test_fig1_window_validation():
@@ -292,14 +337,6 @@ def test_fig1_deviation_shrinks_at_larger_degree():
         rows = fig1_dataset(params, lo, hi, 24)
         dev[n] = max(abs(ft - cn) for _, ft, cn in rows)
     assert dev[300] < dev[150]
-
-
-def test_precision_cap_env(monkeypatch):
-    from fctk.errors import NonConvergence
-
-    monkeypatch.setenv("FCTK_PRECISION_CAP", "256")
-    with pytest.raises(NonConvergence):
-        normalized_poly(FIG1_PARAMS, PhiCoordinate(3, 0.52 * math.pi / 4))
 
 
 def test_full_formula_matches_laguerre_remark():

@@ -143,12 +143,35 @@ def test_msp_matches_pr_assembly():
         (2, (1, 2), 50, 0.35),
         (3, (2, 4, 5), 150, 0.525),
         (4, (1, 0, 2, 3), 30, 0.6),
+        (3, (2, 4, 5), 1000, 0.525),
+        (1, (0,), 5000, 0.5),
     ):
         params = ModelParams(r, nu, n)
         c = PhiCoordinate(r, frac * math.pi / (r + 1))
         ms = msp_value(params, c)
         pr = pr_approx(params, c).assembled
         assert abs(ms - pr) <= 1e-10 * abs(pr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.tuples(*[st.integers(0, 5)] * r),
+            st.integers(1, 5000),
+            st.floats(0.05, 0.95),
+        )
+    )
+)
+def test_msp_matches_pr_assembly_property(case):
+    # both assemblies run at 140 + bitlen(n) + bitlen(r + sum(nu)) bits
+    r, nu, n, frac = case
+    params = ModelParams(r, nu, n)
+    c = PhiCoordinate(r, frac * math.pi / (r + 1))
+    ms = msp_value(params, c)
+    pr = pr_approx(params, c).assembled
+    assert abs(ms - pr) <= 1e-10 * abs(pr)
 
 
 def test_msp_close_to_contour():

@@ -156,6 +156,38 @@ def test_params_validation():
         ExactPolynomial(())
 
 
+def test_edge_inputs_raise_domain_error():
+    # every argument check raises the package's typed error, which is
+    # also a ValueError
+    from fctk.errors import FctkError
+    from fctk.rmt import aggregate_measure, mean_moment, sample_spectrum
+    from fctk.rng import stream_id
+    from fctk.zeros import EmpiricalMeasure, isolate_zeros, local_zero_count
+
+    p = build_f(ModelParams(1, (0,), 3))
+    calls = (
+        lambda: ModelParams(0, (), 1),
+        lambda: ModelParams(2, (0,), 1),
+        lambda: ModelParams(1, (-1,), 1),
+        lambda: ModelParams(1, (0,), -1),
+        lambda: ExactPolynomial(()),
+        lambda: ExactPolynomial((1, 0)),
+        lambda: isolate_zeros(p, 0),
+        lambda: isolate_zeros(p, Fraction(-1, 2)),
+        lambda: local_zero_count(ModelParams(1, (0,), 3), 0.5, 0.25),
+        lambda: sample_spectrum(ModelParams(1, (0,), 0), seed=1),
+        lambda: aggregate_measure(ModelParams(1, (0,), 5), trials=0, seed=1),
+        lambda: mean_moment(EmpiricalMeasure((1.0,)), -1),
+        lambda: mean_moment(EmpiricalMeasure(()), 1),
+        lambda: stream_id(0, 2**32),
+        lambda: stream_id(-1, 0),
+    )
+    for call in calls:
+        with pytest.raises(FctkError) as exc:
+            call()
+        assert isinstance(exc.value, DomainError) and isinstance(exc.value, ValueError)
+
+
 def _inside_bound(p, x, got, accuracy):
     v, err, g = got
     if isinstance(x, mp.mpf):
