@@ -11,7 +11,8 @@ final assembly touches big floats.  The normalized polynomial (the
 polynomial's value divided by the full prefactor) evaluates the exact
 integer coefficients at the big-float rho(phi) with a certified error
 bound (poly.eval_bounded), which absorbs the catastrophic cancellation
-of the alternating sum.
+of the alternating sum; its first precision is the cancellation that
+the log prefactor predicts.
 
 Every big-float assembly (here and in contour.msp_value) runs at the one
 precision of _working_prec, 140 + bitlen(n) + bitlen(r + sum(nu)) bits:
@@ -38,6 +39,10 @@ FIG1_PARAMS = ModelParams(r=3, nu=(2, 4, 5), n=150)
 FIG1_PHI_LO = 0.5 * math.pi / 4
 FIG1_PHI_HI = 0.55 * math.pi / 4
 FIG1_COUNT = 200
+
+# bits of eval_bounded's first pass beyond the cancellation and the
+# accuracy asked, for |F~| below 1 (normalized_poly)
+_SPARE_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -113,34 +118,39 @@ def cosine_approximant(params: ModelParams, c: PhiCoordinate) -> float:
         return float(mp.cos(_cos_argument(params, mp.mpf(c.phi))))
 
 
-def zero_separators(params: ModelParams) -> np.ndarray:
-    """Increasing x_k = rho(phi_k) with n f(phi_k) - g(r, nu, phi_k) = k pi, k = 1..n-1.
+def zero_hints(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Separators and zero estimates of F_n(n^r x) from the cosine approximant.
 
-    These are the extrema of cosine_approximant, so the oscillatory
-    formula puts one zero of F_n(n^r x) in each gap between consecutive
-    points, one below the first and one above the last.  The phase
-    n f - g runs from -pi/4 at phi = 0 past n pi at phi = pi/(r+1), and
-    one call of geometry.solve_phi finds all n - 1 crossings.
+    The phase n f - g runs from -pi/4 at phi = 0 past n pi at
+    phi = pi/(r+1), and one call of geometry.solve_phi finds its 2n - 1
+    crossings of j pi/2, j = 1..2n-1.  The even j give the separators
+    x_k = rho(phi_k) with n f(phi_k) - g(phi_k) = k pi, k = 1..n-1: the
+    extrema of cosine_approximant, so the oscillatory formula puts one
+    zero in each gap between consecutive points, one below the first and
+    one above the last.  The odd j, where the cosine vanishes, give n
+    increasing estimates of the zeros themselves.  Both are hints for
+    zeros.isolate_zeros, which proves or rejects them by exact signs.
     """
     r, n, nu = params.r, params.n, params.nu
     phi = geometry.solve_phi(
         r,
         lambda t: n * geometry.f_at(r, t, np) - geometry.g_shift_at(r, nu, t, np),
-        np.pi * np.arange(1, max(n, 1)),
+        np.pi / 2 * np.arange(1, 2 * n),
     )
     x = geometry.rho_at(r, phi, np)[::-1]
-    if x.size == 0:
-        return x
-    # round each point to a multiple of a power of two at most 1/8 of the
-    # gaps beside it: the points move by 1/16 of a gap at most, and the
+    seps, estimates = x[1::2], x[0::2]
+    if seps.size == 0:
+        return seps, estimates
+    # round each separator to a multiple of a power of two at most 1/8 of
+    # the gaps beside it: the points move by 1/16 of a gap at most, and the
     # exact evaluations at them and at the refinement's grid points, whose
     # cost grows with their bit length, stay cheap
-    gaps = np.diff(x, prepend=0.0)
+    gaps = np.diff(seps, prepend=0.0)
     near = np.minimum(gaps, np.append(gaps[1:], np.inf))
     with np.errstate(divide="ignore", invalid="ignore"):
         # a gap <= 0 yields nan, which isolate_zeros takes as no certificate
         step = np.exp2(np.floor(np.log2(near / 8)))
-        return np.round(x / step) * step
+        return np.round(seps / step) * step, estimates
 
 
 def pr_prefactor_log(params: ModelParams, c: PhiCoordinate) -> PRValue:
@@ -188,24 +198,39 @@ def normalized_poly(params: ModelParams, c: PhiCoordinate) -> float:
     assembly, prec = 140 + bitlen(n) + bitlen(r + sum(nu)) bits
     (_working_prec), a dyadic within a few units of 2^-prec relative of
     the true rho(phi).  poly.eval_bounded evaluates the polynomial
-    exactly there up to a certified error of at most 2^-64 of the value
-    (a fixed-point Horner, 2 (n + 1) units of 2^(log2 of the largest term
-    - bits) at most, starting at prec + 64 bits and doubling until the
-    bound holds, which absorbs the cancellation of the alternating sum).
-    The remaining roundings are those of the mpmath assembly at prec
-    bits.
+    exactly there up to a certified error of at most 2^-64 of the value.
+    Its fixed-point Horner errs by less than 2 (n + 1) units of 2^g,
+    g = top - bits, with top the largest term's exponent
+    (poly.largest_term_exponent), and the value L F_n(n^r x) is about
+    L e^lm F~ with lm the log prefactor.  So `bits` starts at
+
+        max(0, top - log2(L e^lm)) + 64 + bitlen(2n + 2) + _SPARE_BITS,
+
+    the cancellation of the alternating sum plus the accuracy asked; the
+    spare bits cover |F~| down to about 2^-14, and closer to a zero of F~
+    eval_bounded doubles `bits` until the bound holds.  Near the ends of
+    the interval, where the formula's prefactor overshoots the value,
+    the estimated cancellation is negative and is taken as 0.  The
+    remaining roundings are those of the mpmath assembly at prec bits.
     """
     _match(params, c)
     if params.n < 1:
         raise DomainError("normalization requires degree n >= 1")
-    prec = _working_prec(params)
     rescaled = _rescaled_f(params)
-    with mp.workprec(prec):
+    lcm = rescaled.integer_form[1]
+    with mp.workprec(_working_prec(params)):
         phi = mp.mpf(c.phi)
         x = geometry.rho_at(params.r, phi, mp)
-        value, _, exponent = poly.eval_bounded(rescaled, x, prec + 64, 64)
         lm = _log_prefactor(params, phi)
-        ratio = mp.ldexp(value, exponent) / rescaled.integer_form[1] / mp.e**lm
+        cancellation = max(
+            0,
+            poly.largest_term_exponent(rescaled, x)
+            - lcm.bit_length()
+            - math.floor(lm / mp.ln2),
+        )
+        bits = cancellation + 64 + (2 * params.n + 2).bit_length() + _SPARE_BITS
+        value, _, exponent = poly.eval_bounded(rescaled, x, bits, 64)
+        ratio = mp.ldexp(value, exponent) / lcm / mp.e**lm
     return float((-1) ** params.n * ratio)
 
 

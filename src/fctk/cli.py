@@ -90,8 +90,9 @@ def cmd_zeros(parser, args) -> int:
     if args.tol <= 0:
         parser.error("tol must be positive")
     rescaled = poly.rescale_arg(poly.build_f(params), params)
+    separators, estimates = asymptotics.zero_hints(params)
     enclosures = zeros.isolate_zeros(
-        rescaled, args.tol, separators=asymptotics.zero_separators(params)
+        rescaled, args.tol, separators=separators, estimates=estimates
     )
     if args.ks:
         measure = zeros.EmpiricalMeasure(tuple(float(e.mid) for e in enclosures))

@@ -148,6 +148,17 @@ def _dyadic_parts(x) -> tuple[int, int]:
     return num, 1 - den.bit_length()
 
 
+def largest_term_exponent(poly: ExactPolynomial, x) -> int:
+    """top = max_k (bitlen(A_k) + k D) with |x| < 2^D, (A, L) = poly.integer_form.
+
+    Every term |A_k x^k| lies below 2^top, so a value that cancels c bits
+    against its largest term is near 2^(top - c).
+    """
+    man, e = _dyadic_parts(x)
+    d = abs(man).bit_length() + e
+    return max(c.bit_length() + k * d for k, c in enumerate(poly.integer_form[0]) if c)
+
+
 def eval_bounded(poly: ExactPolynomial, x, bits: int, accuracy: int) -> tuple[int, int, int]:
     """(v, err, g) with |L p(x) - v 2^g| <= err 2^g <= 2^-accuracy |L p(x)|.
 
@@ -161,11 +172,13 @@ def eval_bounded(poly: ExactPolynomial, x, bits: int, accuracy: int) -> tuple[in
     coefficient) and carries the earlier error times |M| / 2^bitlen(M)
     < 1, so the bound err, counted in those units, grows by at most 2
     per step and stays below 2 (n + 1).  The value is returned once
-    |v| >= err (2^accuracy + 1); otherwise `bits` doubles.  Once the
-    granularity 2^g is as fine as that of the exact value, the exact
-    integer Horner (eval_dyadic) ends the search with err = 0, so an
-    exact dyadic root reads 0.
+    |v| >= err (2^accuracy + 1); otherwise `bits`, which must be
+    positive, doubles.  Once the granularity 2^g is as fine as that of
+    the exact value, the exact integer Horner (eval_dyadic) ends the
+    search with err = 0, so an exact dyadic root reads 0.
     """
+    if bits < 1:
+        raise DomainError(f"bits must be positive, got {bits}")
     ints = poly.integer_form[0]
     man, e = _dyadic_parts(x)
     n = len(ints) - 1
@@ -173,7 +186,7 @@ def eval_bounded(poly: ExactPolynomial, x, bits: int, accuracy: int) -> tuple[in
         return ints[0], 0, 0
     beta = abs(man).bit_length()
     d = beta + e
-    top = max(c.bit_length() + k * d for k, c in enumerate(ints) if c)
+    top = largest_term_exponent(poly, x)
     shift = max(-e, 0)
     while top - bits > -n * shift:
         g = top - bits

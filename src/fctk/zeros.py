@@ -9,7 +9,7 @@ dyadic point, poly.eval_dyadic.
 
 Certificate.  The oscillatory formula puts one zero of F_n(n^r x)
 between consecutive extrema of its cosine approximant
-(asymptotics.zero_separators).  Given such separators, the isolator
+(asymptotics.zero_hints).  Given such separators, the isolator
 takes the exact signs at 0, at every separator and at the root bound
 2^F; n strict sign changes of a degree-n polynomial prove exactly one
 simple root in each of those n gaps, so no square-free test and no
@@ -27,10 +27,15 @@ inherits the full count.  Positive roots are swept in doubling segments (0,1), (
 
 Refinement.  Both paths shrink their brackets with quadratic interval
 refinement (J. Abbott, "Quadratic interval refinement for real roots",
-2006): exact secant steps on a dyadic grid, kept only where the exact
-signs at a cell's ends differ, with a bisection step on a miss.  The
-bracket sequence does not depend on the tolerance, which only decides
-where it stops.
+2006): exact secant steps on a grid of 2^m dyadic cells, kept only where
+the exact signs at a cell's ends differ, with a bisection step on a
+miss.  A secant on a cell 2^-b as wide as the starting bracket is
+accurate to about 2^-b of that cell, so m is capped at the bits b gained
+so far, minus one.  Zero estimates (asymptotics.zero_hints, where the
+cosine approximant vanishes) pick only the first cell, among 2^6; no
+value is taken at an estimate, and a bad one costs evaluations, never a
+certificate.  The bracket sequence does not depend on the tolerance,
+which only decides where it stops.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .asymptotics import zero_separators
+from .asymptotics import zero_hints
 from .errors import DomainError, IsolationFailure, NotSquareFree
 from .fuss_catalan import FussCatalanDist
 from .geometry import x_star
@@ -52,6 +57,9 @@ from .poly import ExactPolynomial, ModelParams, build_f, eval_dyadic, rescale_ar
 DEFAULT_TOL = Fraction(1, 10**12)
 
 _SQFREE_PRIMES = (2147483647, 2305843009213693951, 4611686018427387847)
+
+# log2 of the number of cells among which a zero estimate picks the first
+_FIRST_CELL_BITS = 6
 
 
 @dataclass(frozen=True)
@@ -295,18 +303,28 @@ def _descartes_brackets(a: list[int], fujiwara: int) -> list[tuple[Fraction, Fra
     return brackets
 
 
-def _refine(a: list[int], lo: Fraction, hi: Fraction, tol: Fraction, v_lo=None, v_hi=None):
+def _refine(
+    a: list[int], lo: Fraction, hi: Fraction, tol: Fraction,
+    v_lo=None, v_hi=None, estimate=None,
+):
     """Shrink a bracket around one simple root below tol by exact secant steps (QIR).
 
     Quadratic interval refinement: the bracket is cut into N = 2^m equal
     dyadic cells, an exact secant picks the cell the root should be in,
-    and the signs at that cell's two ends keep it (N squares) or reject
-    it (a bisection step, N back to its square root).  Values carry the
-    common scale 2^(shift n) lcm, so the value at each end is computed
-    once and reused.  The bracket sequence does not depend on tol; tol
-    only says where it stops, so a smaller tol refines the same brackets
-    further.  A bracket at 0 is refined until it leaves 0, so the
-    enclosure of a positive root below tol still has lo > 0.
+    and the signs at that cell's two ends keep it or reject it (a
+    bisection step, m halved).  A secant through the ends of a cell
+    2^-b as wide as the starting bracket is accurate only to about 2^-b
+    of that cell, so after a kept cell m doubles but is capped at the
+    bits b gained so far, minus one.  A float `estimate` of the root,
+    when finite and inside the bracket, replaces the first secant: it
+    picks the grid point nearest to it among N = 2^_FIRST_CELL_BITS
+    cells, and the exact sign there picks the cell on its side.  No value
+    is taken at the estimate itself, and every decision is an exact sign.
+    Values carry the common scale 2^(shift n) lcm, so the value at each
+    end is computed once and reused.  The bracket sequence does not
+    depend on tol; tol only says where it stops, so a smaller tol refines
+    the same brackets further.  A bracket at 0 is refined until it leaves
+    0, so the enclosure of a positive root below tol still has lo > 0.
 
     The root is interior, but a Descartes bracket may end on a dyadic
     root that is reported on its own.  Such a bracket is bisected until
@@ -328,7 +346,9 @@ def _refine(a: list[int], lo: Fraction, hi: Fraction, tol: Fraction, v_lo=None, 
         pos_lo = v_lo > 0
     else:
         pos_lo = eval_dyadic([k * c for k, c in enumerate(a)][1:], lo_n, s) > 0
-    m = 2
+    if estimate is not None:
+        estimate = Fraction(estimate) if math.isfinite(estimate) else None
+    m, gained = 2, 0
     while (
         v_lo == 0
         or v_hi == 0
@@ -337,11 +357,20 @@ def _refine(a: list[int], lo: Fraction, hi: Fraction, tol: Fraction, v_lo=None, 
     ):
         if v_lo and v_hi:
             cell = hi_n - lo_n
-            # j = round(2^m v_lo / (v_lo - v_hi)), the secant's cell boundary
-            num, den = v_lo << m, v_lo - v_hi
-            if den < 0:
-                num, den = -num, -den
-            j = (2 * num + den) // (2 * den)
+            j = None
+            if estimate is not None:
+                # the grid point nearest to the estimate, if it is inside
+                where = (estimate * (1 << s) - lo_n) / cell
+                if 0 <= where <= 1:
+                    m = _FIRST_CELL_BITS
+                    j = round(where * (1 << m))
+                estimate = None
+            if j is None:
+                # j = round(2^m v_lo / (v_lo - v_hi)), the secant's cell boundary
+                num, den = v_lo << m, v_lo - v_hi
+                if den < 0:
+                    num, den = -num, -den
+                j = (2 * num + den) // (2 * den)
             lo_f, hi_f, shift = lo_n << m, hi_n << m, s + m
             v_lo_f, v_hi_f = v_lo << (m * n), v_hi << (m * n)
             if j == (1 << m):
@@ -366,10 +395,12 @@ def _refine(a: list[int], lo: Fraction, hi: Fraction, tol: Fraction, v_lo=None, 
                 ok = (v0 > 0) == pos_lo
             if ok:
                 lo_n, hi_n, s, v_lo, v_hi = x0, x1, shift, v0, v1
-                m *= 2
+                gained += m
+                m = max(2, min(2 * m, gained - 1))
                 continue
             m = max(2, m // 2)
         mid, s = lo_n + hi_n, s + 1
+        gained += 1
         v_mid = eval_dyadic(a, mid, s)
         if v_mid == 0:
             return (Fraction(mid, 1 << s),) * 2
@@ -382,24 +413,33 @@ def _refine(a: list[int], lo: Fraction, hi: Fraction, tol: Fraction, v_lo=None, 
 
 
 def isolate_zeros(
-    poly: ExactPolynomial, tol=DEFAULT_TOL, *, separators=None
+    poly: ExactPolynomial, tol=DEFAULT_TOL, *, separators=None, estimates=None
 ) -> list[ZeroEnclosure]:
     """Disjoint enclosures of all positive roots, exactly degree many.
 
     With `separators` (increasing points expected to split the roots one
-    per gap, such as asymptotics.zero_separators) the exact signs at 0,
-    the separators and the root bound 2^F certify the roots when they
+    per gap, such as those of asymptotics.zero_hints) the exact signs at
+    0, the separators and the root bound 2^F certify the roots when they
     change sign n times; otherwise, or without separators, Descartes
-    bisection isolates them.  Raises NotSquareFree when the polynomial
-    shares a factor with its derivative, IsolationFailure when the
-    positive-root count differs from the degree (both contradict the
-    expected simple-positive-root structure and must stop the caller,
-    never be absorbed silently).
+    bisection isolates them.  `estimates`, n floats such as the zero
+    estimates of asymptotics.zero_hints, hint at the roots in increasing
+    order and only choose where the refinement of each bracket starts
+    (_refine): an entry that is not finite or lies outside its bracket is
+    ignored, and no estimate decides anything.  Raises DomainError when
+    there are not n estimates, NotSquareFree when the polynomial shares
+    a factor with its derivative, IsolationFailure when the positive-root
+    count differs from the degree (both contradict the expected
+    simple-positive-root structure and must stop the caller, never be
+    absorbed silently).
     """
     tol = Fraction(tol)
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
     n = poly.degree
+    if estimates is None:
+        estimates = [None] * n
+    elif len(estimates) != n:
+        raise DomainError(f"need {n} zero estimates, got {len(estimates)}")
     if n == 0:
         return []
     a = list(poly.integer_form[0])
@@ -409,8 +449,8 @@ def isolate_zeros(
     seeded = None if separators is None else _seeded_brackets(a, separators, fujiwara)
     if seeded is not None:
         return [
-            ZeroEnclosure(*_refine(a, lo, hi, tol, v_lo, v_hi))
-            for lo, hi, v_lo, v_hi in seeded
+            ZeroEnclosure(*_refine(a, lo, hi, tol, v_lo, v_hi, est))
+            for (lo, hi, v_lo, v_hi), est in zip(seeded, estimates)
         ]
 
     if not _square_free(a):
@@ -421,7 +461,10 @@ def isolate_zeros(
             f"found {len(brackets)} positive simple roots for degree {n}"
         )
     brackets.sort()
-    return [ZeroEnclosure(*_refine(a, lo, hi, tol)) for lo, hi in brackets]
+    return [
+        ZeroEnclosure(*_refine(a, lo, hi, tol, estimate=est))
+        for (lo, hi), est in zip(brackets, estimates)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +473,8 @@ def isolate_zeros(
 def rescaled_zero_measure(params: ModelParams, tol=DEFAULT_TOL) -> EmpiricalMeasure:
     """Zero counting measure of F_n(n^r x): enclosure midpoints, mass 1/n each."""
     rescaled = rescale_arg(build_f(params), params)
-    enclosures = isolate_zeros(rescaled, tol, separators=zero_separators(params))
+    separators, estimates = zero_hints(params)
+    enclosures = isolate_zeros(rescaled, tol, separators=separators, estimates=estimates)
     return EmpiricalMeasure(tuple(float(e.mid) for e in enclosures))
 
 

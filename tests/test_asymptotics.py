@@ -275,6 +275,23 @@ def test_fig1_grid_needs_no_exact_evaluation(monkeypatch):
     assert calls == {"eval_exact": 0, "eval_dyadic": 1}
 
 
+def test_fig1_rows_certify_on_the_first_pass(monkeypatch):
+    # the start bits cover the cancellation, so no row doubles them:
+    # the returned exponent is g = top - (start bits)
+    passes = []
+    inner = poly.eval_bounded
+
+    def recorded(p, x, bits, accuracy):
+        out = inner(p, x, bits, accuracy)
+        passes.append(out[2] == poly.largest_term_exponent(p, x) - bits)
+        return out
+
+    monkeypatch.setattr(poly, "eval_bounded", recorded)
+    fig1_dataset(FIG1_PARAMS, FIG1_PHI_LO, FIG1_PHI_HI, FIG1_COUNT)
+    assert len(passes) == FIG1_COUNT
+    assert all(passes)
+
+
 def test_fig1_dataset_shape_and_defaults():
     rows = fig1_dataset(FIG1_PARAMS, FIG1_PHI_LO, FIG1_PHI_HI, 12)
     assert len(rows) == 12

@@ -234,6 +234,10 @@ def test_eval_bounded_point_types_and_edges():
     for bad in (Fraction(1, 3), float("nan"), mp.inf):
         with pytest.raises(DomainError):
             eval_bounded(p, bad, 64, 53)
+    # bits that doubling cannot grow
+    for bits in (0, -413):
+        with pytest.raises(DomainError):
+            eval_bounded(p, mp.mpf("0.37"), bits, 53)
 
 
 def test_eval_bounded_reads_an_exact_dyadic_root_as_zero():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fctk import zeros
-from fctk.asymptotics import zero_separators
-from fctk.errors import IsolationFailure, NotSquareFree
+from fctk.asymptotics import zero_hints
+from fctk.errors import DomainError, IsolationFailure, NotSquareFree
 from fctk.fuss_catalan import FussCatalanDist
 from fctk.poly import ExactPolynomial, ModelParams, build_f, eval_exact, rescale_arg
 from fctk.zeros import (
@@ -46,6 +46,10 @@ def check_enclosures(poly, enclosures, tol):
 
 def _rescaled(params):
     return rescale_arg(build_f(params), params)
+
+
+def _separators(params):
+    return zero_hints(params)[0]
 
 
 def test_isolate_f2_roots():
@@ -115,14 +119,15 @@ def test_isolation_failure_on_complex_or_negative_roots():
 def test_refinement_contract():
     # the bracket sequence does not depend on tol, so halving tol only nests
     # (every tol here is below the smallest root, about 3e-4)
+    # (the estimates only pick where each refinement starts, not the tol)
     cases = ((ModelParams(1, (1,), 6), False), (ModelParams(2, (1, 2), 30), True))
     for params, seeded in cases:
         f = _rescaled(params)
-        seps = zero_separators(params) if seeded else None
+        seps, est = zero_hints(params) if seeded else (None, None)
         for k in (12, 20, 40):
             tol = Fraction(1, 2**k)
-            wide = isolate_zeros(f, tol, separators=seps)
-            narrow = isolate_zeros(f, tol / 2, separators=seps)
+            wide = isolate_zeros(f, tol, separators=seps, estimates=est)
+            narrow = isolate_zeros(f, tol / 2, separators=seps, estimates=est)
             check_enclosures(f, wide, tol)
             check_enclosures(f, narrow, tol / 2)
             for a, b in zip(wide, narrow):
@@ -143,13 +148,17 @@ def _count_fallbacks(monkeypatch):
 
 def test_separators_interleave_the_zeros():
     for params in (ModelParams(1, (0,), 30), ModelParams(3, (1, 2, 3), 40)):
-        seps = zero_separators(params)
+        seps, est = zero_hints(params)
         assert len(seps) == params.n - 1
         assert all(0 < a < b for a, b in zip(seps, seps[1:]))
         roots = isolate_zeros(_rescaled(params), Fraction(1, 2**30))
         for left, sep, right in zip(roots, seps, roots[1:]):
             assert left.hi < sep < right.lo
-    assert len(zero_separators(ModelParams(2, (0, 0), 1))) == 0
+        # the zero estimates interleave with the separators
+        assert len(est) == params.n
+        assert all(a < b for a, b in zip(est, [*seps, math.inf]))
+        assert all(a < b for a, b in zip([0.0, *seps], est))
+    assert len(_separators(ModelParams(2, (0, 0), 1))) == 0
 
 
 def test_seeded_path_certifies_without_descartes(monkeypatch):
@@ -163,7 +172,7 @@ def test_seeded_path_certifies_without_descartes(monkeypatch):
         for nu in itertools.product(range(4), repeat=r):
             for n in itertools.chain(range(4, 26), (50, 100, 200)):
                 params = ModelParams(r, nu, n)
-                seps = zero_separators(params)
+                seps = _separators(params)
                 enc = isolate_zeros(_rescaled(params), coarse, separators=seps)
                 assert len(enc) == n, params
 
@@ -172,14 +181,14 @@ def test_seeded_enclosures_are_proven():
     tol = Fraction(1, 10**12)
     for params in (ModelParams(1, (0,), 40), ModelParams(3, (3, 0, 2), 25)):
         f = _rescaled(params)
-        check_enclosures(f, isolate_zeros(f, tol, separators=zero_separators(params)), tol)
+        check_enclosures(f, isolate_zeros(f, tol, separators=_separators(params)), tol)
 
 
 def test_root_below_tol_gets_a_positive_enclosure():
     params = ModelParams(4, (0, 0, 0, 0), 19)  # smallest root about 4e-7
     f = _rescaled(params)
     tol = Fraction(1, 2**10)
-    for seps in (None, zero_separators(params)):
+    for seps in (None, _separators(params)):
         enc = isolate_zeros(f, tol, separators=seps)
         check_enclosures(f, enc, tol)
         assert enc[0].hi < Fraction(1, 10**6)
@@ -193,7 +202,7 @@ def test_fallback_when_separators_do_not_certify(monkeypatch):
         params = ModelParams(3, (5, 5, 5), n)
         f = _rescaled(params)
         before = len(calls)
-        check_enclosures(f, isolate_zeros(f, tol, separators=zero_separators(params)), tol)
+        check_enclosures(f, isolate_zeros(f, tol, separators=_separators(params)), tol)
         assert len(calls) == before + 1, n
 
 
@@ -209,7 +218,7 @@ def test_fallback_when_separators_are_not_usable(monkeypatch):
     calls = _count_fallbacks(monkeypatch)
     params = ModelParams(2, (1, 0), 12)
     f = _rescaled(params)
-    seps = list(zero_separators(params))
+    seps = list(_separators(params))
     tol = Fraction(1, 2**30)
     want = isolate_zeros(f, tol)
     assert len(calls) == 1
@@ -239,12 +248,77 @@ def test_seeded_and_descartes_agree(case):
     params = ModelParams(r, nu, n)
     f = _rescaled(params)
     tol = Fraction(1, 2**40)  # below the smallest root, about 1e-8 at r=4, n=40
+    seps, est = zero_hints(params)
     plain = isolate_zeros(f, tol)
-    seeded = isolate_zeros(f, tol, separators=zero_separators(params))
-    assert len(plain) == len(seeded) == n
-    check_enclosures(f, seeded, tol)
-    for a, b in zip(plain, seeded):
-        assert a.lo <= b.hi and b.lo <= a.hi
+    seeded = isolate_zeros(f, tol, separators=seps)
+    hinted = isolate_zeros(f, tol, separators=seps, estimates=est)
+    assert len(plain) == len(seeded) == len(hinted) == n
+    for got in (seeded, hinted):
+        check_enclosures(f, got, tol)
+        for a, b in zip(plain, got):
+            assert a.lo <= b.hi and b.lo <= a.hi
+
+
+def test_estimates_are_only_hints():
+    # a bad estimate costs evaluations, never a wrong or missing enclosure
+    params = ModelParams(3, (1, 2, 3), 30)
+    f = _rescaled(params)
+    seps, est = zero_hints(params)
+    n = params.n
+    tol = Fraction(1, 2**30)
+    bad = (
+        [math.nan] * n,
+        [math.inf, -math.inf] * (n // 2),
+        est[::-1],
+        [est[n // 2]] * n,
+        [-1.0] * n,
+        est + 1e6,
+        est * (1 + 1e-3),
+    )
+    for hints in bad:
+        for s in (seps, None):
+            check_enclosures(f, isolate_zeros(f, tol, separators=s, estimates=hints), tol)
+    for wrong in (est[1:], list(est) + [1.0], []):
+        with pytest.raises(DomainError):
+            isolate_zeros(f, tol, separators=seps, estimates=wrong)
+
+
+def _count_evaluations(monkeypatch):
+    calls = [0]
+    inner = zeros.eval_dyadic
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(zeros, "eval_dyadic", counted)
+    return calls
+
+
+def test_estimates_cut_evaluations_per_root(monkeypatch):
+    # the six `fctk zeros --ks` jobs of the benchmark: 13.2-16.1 exact
+    # evaluations per root from the secant start, 9.3-11.8 from the estimates
+    calls = _count_evaluations(monkeypatch)
+    n, tol = 100, Fraction(1, 10**12)
+    for r in (1, 2, 3):
+        for nu in ((0,) * r, tuple(range(1, r + 1))):
+            params = ModelParams(r, nu, n)
+            seps, est = zero_hints(params)
+            f = _rescaled(params)
+            calls[0] = 0
+            check_enclosures(f, isolate_zeros(f, tol, separators=seps, estimates=est), tol)
+            assert calls[0] <= 12 * n, (params, calls[0] / n)
+
+
+def test_capped_refinement_evaluation_count(monkeypatch):
+    # the 66 small Descartes isolations of the benchmark (nu the base-4
+    # digits of n): 15 083 evaluations with m doubled blindly, 14 235 capped
+    calls = _count_evaluations(monkeypatch)
+    for r in (1, 2, 3):
+        for n in range(4, 26):
+            nu = tuple((n >> (2 * j)) & 3 for j in range(r))
+            isolate_zeros(_rescaled(ModelParams(r, nu, n)), Fraction(1, 10**12))
+    assert calls[0] < 15_083
 
 
 def test_determinism():
