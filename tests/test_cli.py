@@ -240,15 +240,27 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text().startswith("x,value\n")
 
 
-def test_console_entry_point():
+def run_child(*argv):
     # the child imports the package under test, installed or not
     src = os.path.dirname(os.path.dirname(fctk.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fctk", "fc", "moment", "--r", "1", "--k", "4"],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point():
+    proc = run_child("-m", "fctk", "fc", "moment", "--r", "1", "--k", "4")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "14"
+
+
+def test_scipy_integrate_imported_on_first_use():
+    probe = run_child("-c", "import sys, fctk, fctk.cli; print('scipy.integrate' in sys.modules)")
+    assert probe.stdout.strip() == "False"
+    proc = run_child("-m", "fctk", "fc", "moment", "--r", "2", "--k", "3", "--quadrature")
+    assert proc.returncode == 0
+    assert float(proc.stdout) == pytest.approx(12, rel=1e-9)

@@ -297,6 +297,38 @@ def test_stieltjes_moments():
             assert abs(value - exact) <= 1e-6 * exact
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 8), st.sampled_from((16, 32, 64)))
+def test_stieltjes_moments_within_their_bound(r, n_max, points):
+    # the bound of the docstring, recomputed from w = z F(z) at the same nodes
+    d = FussCatalanDist(r)
+    radius = 2 * float(geometry.x_star(r))
+    nodes = [radius * cmath.exp(2j * math.pi * k / points) for k in range(points)]
+    ws = [z * d.stieltjes(z) for z in nodes]
+    disc = max(
+        64 * 2.0**-52 * (abs(w) ** (r + 1) + abs(z * w) + abs(z)) / abs((r + 1) * w**r - z)
+        for z, w in zip(nodes, ws)
+    )
+    rounding = disc + points * 2.0**-53 * max(map(abs, ws))
+    for n, value in enumerate(d.stieltjes_moments(n_max, points=points)):
+        exact = float(d.moment_exact(n))
+        aliasing = exact * 2.0**-points / (1 - 2.0**-points)
+        assert abs(value - exact) <= aliasing + radius**n * rounding
+        if points == 32:
+            assert abs(value - exact) <= 1e-9 * exact
+
+
+def test_stieltjes_moments_large_n_max_raises():
+    # the rounding bound grows as 2^n against m_n and passes 1e-8 of it by n = 12
+    for r in (1, 2, 3, 4, 5):
+        d = FussCatalanDist(r)
+        for n_max, points in ((12, 32), (20, 32), (30, 64), (60, 64)):
+            with pytest.raises(DomainError):
+                d.stieltjes_moments(n_max, points=points)
+        with pytest.raises(DomainError):
+            d.stieltjes_moments(32)
+
+
 def stieltjes_problems(r, z, value):
     """Residual of w = z F, the Herglotz sign and |F| dist(z, cut) <= 1."""
     w = z * value
