@@ -193,12 +193,13 @@ class FussCatalanDist:
           2.3e-10 relative at P = 32.  The caller sets it through points.
         - rounding: w_k is within _MARGIN (|w|^(r+1) + |z w| + |z|) / |f'(w)|
           of its exact value (the disc `_branch_root` tests; rounding z_k
-          moves w_k well inside it), the FFT adds at most P u max|w_k|, and
-          R^n multiplies both.  This grows as 2^n m_n; once it exceeds 1e-8
-          of some m_n (from n_max = 10 to 12 for r <= 5) DomainError is raised.
+          moves w_k well inside it), the FFT at most P 2^-53 max|w_k|, and
+          R^n multiplies both.  Against m_n this grows as 2^n; once it
+          exceeds 1e-8 of some m_n (from n = 10 to 12 for r <= 5),
+          DomainError is raised.
         """
-        if points <= n_max:
-            raise DomainError("need more circle points than moments")
+        if not 0 <= n_max < points:
+            raise DomainError(f"need 0 <= n_max < points, got n_max={n_max}, points={points}")
         r, radius = self.r, 2.0 * float(x_star(self.r))
         z = radius * np.exp(2j * np.pi * np.arange(points) / points)
         w = np.array([self._branch_root(complex(zk)) for zk in z])

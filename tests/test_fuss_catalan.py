@@ -318,15 +318,13 @@ def test_stieltjes_moments_within_their_bound(r, n_max, points):
             assert abs(value - exact) <= 1e-9 * exact
 
 
-def test_stieltjes_moments_large_n_max_raises():
+def test_stieltjes_moments_edge_inputs_raise():
     # the rounding bound grows as 2^n against m_n and passes 1e-8 of it by n = 12
     for r in (1, 2, 3, 4, 5):
         d = FussCatalanDist(r)
-        for n_max, points in ((12, 32), (20, 32), (30, 64), (60, 64)):
+        for n_max, points in ((12, 32), (20, 32), (30, 64), (60, 64), (32, 32), (-1, 32)):
             with pytest.raises(DomainError):
                 d.stieltjes_moments(n_max, points=points)
-        with pytest.raises(DomainError):
-            d.stieltjes_moments(32)
 
 
 def stieltjes_problems(r, z, value):
