@@ -49,7 +49,6 @@ from .rmt import SpectrumSample, aggregate_measure, mean_moment, sample_spectrum
 from .zeros import (
     EmpiricalMeasure,
     ZeroEnclosure,
-    empirical_cdf,
     isolate_zeros,
     ks_distance,
     local_zero_count,
@@ -83,7 +82,6 @@ __all__ = [
     "build_p",
     "contour_eval",
     "cosine_approximant",
-    "empirical_cdf",
     "eval_exact",
     "fig1_dataset",
     "identity_check",

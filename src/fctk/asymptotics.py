@@ -129,7 +129,7 @@ def zero_hints(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     zero in each gap between consecutive points, one below the first and
     one above the last.  The odd j, where the cosine vanishes, give n
     increasing estimates of the zeros themselves.  Both are hints for
-    zeros.isolate_zeros, which proves or rejects them by exact signs.
+    zeros.isolate_zeros, which proves or rejects them by certified signs.
     """
     r, n, nu = params.r, params.n, params.nu
     phi = geometry.solve_phi(

@@ -8,17 +8,21 @@ together with its monic companion P_n = (-1)^n prod_j (n + nu_j)! F_n.
 Coefficients are kept as exact rationals: the alternating sum loses all
 significance in fixed precision once n is moderately large and the
 argument is of order n^r, so every downstream oracle evaluates through
-the lcm-scaled integer coefficients, computed once per polynomial: root
-isolation and contour checks by an exact homogeneous Horner over the
-integers, normalized-polynomial plots by a fixed-point Horner with a
-certified error bound that ends at the exact one when the bound cannot
-be met.
+the lcm-scaled integer coefficients.  build_f and rescale_arg build that
+integer form directly from the factorial ratios, with no Fraction per
+coefficient.  Exact values come from a homogeneous Horner over the
+integers (eval_exact, eval_dyadic); root-isolation signs and
+normalized-polynomial plots by a fixed-point Horner with a certified
+error bound that ends at the exact one when the bound cannot be met
+(eval_bounded, eval_bounded_dyadic), over floored coefficients that
+the polynomial memoizes per binade of the point.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -53,25 +57,55 @@ class ModelParams:
         return sum(self.nu)
 
 
-@dataclass(frozen=True)
 class ExactPolynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
-    coeffs[k] multiplies x^k; the leading coefficient is nonzero.
+    coeffs[k] multiplies x^k; the leading coefficient is nonzero.  The
+    polynomial is immutable and is held either as its coefficients or as
+    its integer form; each is derived from the other on first use, so a
+    polynomial built from its integer form (build_f, rescale_arg) makes
+    no Fraction until `coeffs` is read.  Two polynomials are equal when
+    their integer forms are, which is when their coefficients are.
     """
 
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs):
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if not coeffs:
             raise DomainError("polynomial needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        if len(self.coeffs) > 1 and self.coeffs[-1] == 0:
+        if len(coeffs) > 1 and coeffs[-1] == 0:
             raise DomainError("leading coefficient must be nonzero")
+        self.__dict__["coeffs"] = coeffs
+
+    @classmethod
+    def _from_integer_form(cls, ints, lcm: int) -> ExactPolynomial:
+        """sum_k ints[k] x^k / lcm, for lcm > 0 with gcd(lcm, *ints) == 1 and
+        ints[-1] != 0, so that lcm is the lcm of the reduced denominators."""
+        poly = cls.__new__(cls)
+        poly.__dict__["integer_form"] = (tuple(ints), lcm)
+        return poly
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactPolynomial):
+            return NotImplemented
+        return self.integer_form == other.integer_form
+
+    def __hash__(self):
+        return hash(self.integer_form)
+
+    def __repr__(self):
+        return f"ExactPolynomial(coeffs={self.coeffs!r})"
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.integer_form[0]) - 1
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        ints, lcm = self.integer_form
+        return tuple(Fraction(c, lcm) for c in ints)
 
     @cached_property
     def integer_form(self) -> tuple[tuple[int, ...], int]:
@@ -79,32 +113,85 @@ class ExactPolynomial:
         lcm = math.lcm(*(c.denominator for c in self.coeffs))
         return tuple(c.numerator * (lcm // c.denominator) for c in self.coeffs), lcm
 
+    def term_top(self, d: int) -> int:
+        """top = max_k (bitlen(A_k) + k d), (A, L) = integer_form, memoized per d.
+
+        Every term A_k x^k with |x| < 2^d lies below 2^top.
+        """
+        top = self._tops.get(d)
+        if top is None:
+            top = self._tops[d] = max(
+                c.bit_length() + k * d for k, c in enumerate(self.integer_form[0]) if c
+            )
+        return top
+
+    @cached_property
+    def _tops(self) -> dict:
+        return {}
+
+    @cached_property
+    def _tables(self) -> dict:
+        # binade d -> (g, truncated leading coefficient, the rest, err); see
+        # _truncated_coefficients
+        return {}
+
 
 def build_f(params: ModelParams) -> ExactPolynomial:
-    """Exact coefficients (-1)^k binom(n,k) / prod_j (k + nu_j)!."""
+    """Exact coefficients (-1)^k binom(n,k) / prod_j (k + nu_j)!.
+
+    Built as its integer form: with L = prod_j (n + nu_j)!, coefficient k
+    is A_k / L for the integer A_k = (-1)^k binom(n,k) prod_j (n + nu_j)! /
+    (k + nu_j)!, and A_n = (-1)^n, so L is already the lcm of the reduced
+    denominators.
+    """
     n = params.n
-    coeffs = []
-    for k in range(n + 1):
-        den = math.prod(math.factorial(k + v) for v in params.nu)
-        coeffs.append(Fraction((-1) ** k * math.comb(n, k), den))
-    return ExactPolynomial(tuple(coeffs))
+    ints = [0] * (n + 1)
+    ratio = 1  # prod_j (n + nu_j)! / (k + nu_j)!
+    for k in range(n, -1, -1):
+        c = math.comb(n, k) * ratio
+        ints[k] = -c if k & 1 else c
+        ratio *= math.prod(k + v for v in params.nu)
+    lcm = math.prod(math.factorial(n + v) for v in params.nu)
+    return ExactPolynomial._from_integer_form(ints, lcm)
 
 
 def build_p(params: ModelParams) -> ExactPolynomial:
-    """Monic companion (-1)^n prod_j (n + nu_j)! times build_f output."""
-    scale = (-1) ** params.n * math.prod(
-        math.factorial(params.n + v) for v in params.nu
-    )
-    f = build_f(params)
-    return ExactPolynomial(tuple(c * scale for c in f.coeffs))
+    """Monic companion (-1)^n prod_j (n + nu_j)! times build_f output.
+
+    The factor is (-1)^n times the L of build_f's integer form, so the
+    coefficients are (-1)^n A_k, all integers.
+    """
+    ints, _ = build_f(params).integer_form
+    sign = -1 if params.n & 1 else 1
+    return ExactPolynomial._from_integer_form([sign * c for c in ints], 1)
 
 
 def rescale_arg(poly: ExactPolynomial, params: ModelParams) -> ExactPolynomial:
-    """Substitute x -> n^r x: coefficient k is multiplied exactly by n^(r k)."""
+    """Substitute x -> n^r x: coefficient k is multiplied exactly by n^(r k).
+
+    On the integer form (A, L) the coefficients become A_k b^k / L with
+    b = n^r, and their common factor h with L is divided out, so that L/h
+    is again the lcm of the reduced denominators.  h divides L and the top
+    term A_n b^n; once h divides b^k, every later term is a multiple of
+    it, so only the terms below that k take a gcd and an exact division.
+    """
     base = params.n ** params.r if params.n > 0 else 1
-    return ExactPolynomial(
-        tuple(c * base**k for k, c in enumerate(poly.coeffs))
-    )
+    ints, lcm = poly.integer_form
+    n = len(ints) - 1
+    h = math.gcd(lcm, ints[n] * base**n)
+    head, power = [], 1
+    for c in ints:
+        if power % h == 0:
+            break
+        head.append(c * power)
+        h = math.gcd(h, head[-1])
+        power *= base
+    scaled = [c // h for c in head]
+    power //= h
+    for c in ints[len(head):]:
+        scaled.append(c * power)
+        power *= base
+    return ExactPolynomial._from_integer_form(scaled, lcm // h)
 
 
 def eval_exact(poly: ExactPolynomial, x) -> Fraction:
@@ -152,11 +239,32 @@ def largest_term_exponent(poly: ExactPolynomial, x) -> int:
     """top = max_k (bitlen(A_k) + k D) with |x| < 2^D, (A, L) = poly.integer_form.
 
     Every term |A_k x^k| lies below 2^top, so a value that cancels c bits
-    against its largest term is near 2^(top - c).
+    against its largest term is near 2^(top - c).  D = bitlen(M) + e for
+    x = M 2^e, and top is memoized per D (ExactPolynomial.term_top).
     """
     man, e = _dyadic_parts(x)
-    d = abs(man).bit_length() + e
-    return max(c.bit_length() + k * d for k, c in enumerate(poly.integer_form[0]) if c)
+    return poly.term_top(abs(man).bit_length() + e)
+
+
+def _truncated_coefficients(poly: ExactPolynomial, d: int, g: int):
+    """(g, A_n, [A_(n-1), ..., A_0], err), each A_k in units of 2^(g - k d).
+
+    A_k >> (g - k d), or shifted left when g - k d <= 0, as eval_bounded's
+    fixed-point Horner adds them, with the error bound err of one pass in
+    units of 2^g.  The table depends only on the binade d of the point and
+    on g, so the polynomial keeps the last one per binade and replaces it
+    when g changes: at most one table per binade, each of n + 1 integers
+    about as long as the Horner accumulator.
+    """
+    ints = poly.integer_form[0]
+    n = len(ints) - 1
+    shifts = range(g - n * d, g + d, d) if d else [g] * (n + 1)
+    terms = [c >> s if s > 0 else c << -s for c, s in zip(reversed(ints), shifts)]
+    # a unit for each of the n products and each coefficient that is
+    # floored, those with a positive shift (the shifts are monotone)
+    floored = n + 1 - bisect_right(shifts if d >= 0 else shifts[::-1], 0)
+    table = poly._tables[d] = (g, terms[0], terms[1:], n + floored)
+    return table
 
 
 def eval_bounded(poly: ExactPolynomial, x, bits: int, accuracy: int) -> tuple[int, int, int]:
@@ -176,31 +284,53 @@ def eval_bounded(poly: ExactPolynomial, x, bits: int, accuracy: int) -> tuple[in
     positive, doubles.  Once the granularity 2^g is as fine as that of
     the exact value, the exact integer Horner (eval_dyadic) ends the
     search with err = 0, so an exact dyadic root reads 0.
+
+    The floored coefficients depend only on (D, g), and the polynomial
+    memoizes them: the last table per binade D, replaced when g changes
+    (_truncated_coefficients), and the top exponent per D
+    (ExactPolynomial.term_top).  The memo lives and dies with the
+    polynomial, and every returned triple is the one a fresh polynomial
+    gives.
+    """
+    man, e = _dyadic_parts(x)
+    return eval_bounded_dyadic(poly, man, -e, bits, accuracy)
+
+
+def eval_bounded_dyadic(
+    poly: ExactPolynomial, num: int, shift: int, bits: int, accuracy: int
+) -> tuple[int, int, int]:
+    """eval_bounded at x = num / 2^shift, for any integers num and shift.
+
+    The point is reduced first, so the exact Horner that ends the search
+    runs at the granularity 2^(-n shift) of the reduced fraction.
     """
     if bits < 1:
         raise DomainError(f"bits must be positive, got {bits}")
     ints = poly.integer_form[0]
-    man, e = _dyadic_parts(x)
     n = len(ints) - 1
-    if n == 0 or man == 0:
+    if n == 0 or num == 0:
         return ints[0], 0, 0
-    beta = abs(man).bit_length()
-    d = beta + e
-    top = largest_term_exponent(poly, x)
-    shift = max(-e, 0)
-    while top - bits > -n * shift:
+    if shift > 0 and not num & 1:
+        trailing = min(shift, (num & -num).bit_length() - 1)
+        num, shift = num >> trailing, shift - trailing
+    beta = abs(num).bit_length()
+    d = beta - shift
+    top = poly._tops.get(d)
+    if top is None:
+        top = poly.term_top(d)
+    exact_g = -n * shift if shift > 0 else 0
+    while top - bits > exact_g:
         g = top - bits
-        gk = g - n * d
-        acc = ints[n] >> gk if gk > 0 else ints[n] << -gk
-        err = 1 if gk > 0 else 0
-        for c in reversed(ints[:-1]):
-            gk += d
-            acc = (acc * man >> beta) + (c >> gk if gk > 0 else c << -gk)
-            err += 2 if gk > 0 else 1
+        table = poly._tables.get(d)
+        if table is None or table[0] != g:
+            table = _truncated_coefficients(poly, d, g)
+        _, acc, rest, err = table
+        for t in rest:
+            acc = (acc * num >> beta) + t
         if abs(acc) >= err * ((1 << accuracy) + 1):
             return acc, err, g
         bits *= 2
-    return eval_dyadic(ints, man << max(e, 0), shift), 0, -n * shift
+    return eval_dyadic(ints, num << max(-shift, 0), max(shift, 0)), 0, exact_g
 
 
 def poly_to_json(params: ModelParams, poly: ExactPolynomial) -> str:

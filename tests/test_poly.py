@@ -121,6 +121,47 @@ def test_integer_form():
     assert f.integer_form is f.integer_form  # computed once per polynomial
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda r: st.tuples(st.just(r), st.lists(st.integers(0, 5), min_size=r, max_size=r))
+    ),
+    st.integers(0, 80),
+)
+def test_integer_forms_match_the_fraction_construction(rnu, n):
+    # build_f, build_p and rescale_arg make their integer forms without a
+    # Fraction per coefficient; the reference builds every coefficient as
+    # a reduced Fraction and takes the lcm of the denominators
+    r, nu = rnu
+    params = ModelParams(r, tuple(nu), n)
+    f = [
+        Fraction((-1) ** k * math.comb(n, k), math.prod(math.factorial(k + v) for v in nu))
+        for k in range(n + 1)
+    ]
+    scale = (-1) ** n * math.prod(math.factorial(n + v) for v in nu)
+    base = n**r if n else 1
+    for got, coeffs in (
+        (build_f(params), f),
+        (build_p(params), [c * scale for c in f]),
+        (rescale_arg(build_f(params), params), [c * base**k for k, c in enumerate(f)]),
+    ):
+        want = ExactPolynomial(coeffs)
+        assert got.integer_form == want.integer_form
+        assert got.coeffs == want.coeffs
+        assert got == want and hash(got) == hash(want)
+        assert got.degree == n
+
+
+def test_polynomials_are_immutable():
+    f = build_f(ModelParams(1, (0,), 3))
+    with pytest.raises(AttributeError):
+        f.coeffs = ()
+    assert f != ExactPolynomial(f.coeffs[:-1])
+    assert repr(ExactPolynomial((1, -2))) == (
+        "ExactPolynomial(coeffs=(Fraction(1, 1), Fraction(-2, 1)))"
+    )
+
+
 def test_laguerre_specialization():
     # P_n = (-1)^n n! L_n^(0) for r=1, nu=(0)
     for n in (1, 5, 20, 50):
@@ -238,6 +279,40 @@ def test_eval_bounded_point_types_and_edges():
     for bits in (0, -413):
         with pytest.raises(DomainError):
             eval_bounded(p, mp.mpf("0.37"), bits, 53)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda r: st.tuples(st.just(r), st.lists(st.integers(0, 4), min_size=r, max_size=r))
+    ),
+    st.integers(2, 60),
+    st.lists(
+        st.tuples(
+            st.integers(1, 2**70),
+            st.integers(-90, 4),
+            st.sampled_from([1, 8, 40, 200, 900]),
+            st.sampled_from([0, 1, 53]),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+)
+def test_eval_bounded_memo_is_pure(rnu, n, calls):
+    # the floored coefficients memoized on one polynomial, across binades
+    # and after escalations (small bits), give every call the triple a
+    # fresh copy gives; the memo holds at most one table per binade
+    r, nu = rnu
+    params = ModelParams(r, tuple(nu), n)
+    p = rescale_arg(build_f(params), params)
+    binades = set()
+    for man, e, bits, accuracy in calls:
+        x = Fraction(man) * Fraction(2) ** e
+        fresh = ExactPolynomial(p.coeffs)
+        assert eval_bounded(p, x, bits, accuracy) == eval_bounded(fresh, x, bits, accuracy)
+        num, den = x.as_integer_ratio()
+        binades.add(num.bit_length() - den.bit_length() + 1)
+        assert set(p._tables) <= binades
 
 
 def test_eval_bounded_reads_an_exact_dyadic_root_as_zero():

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fctk import zeros
+from fctk import poly, zeros
 from fctk.asymptotics import zero_hints
 from fctk.errors import DomainError, IsolationFailure, NotSquareFree
 from fctk.fuss_catalan import FussCatalanDist
 from fctk.poly import ExactPolynomial, ModelParams, build_f, eval_exact, rescale_arg
 from fctk.zeros import (
     EmpiricalMeasure,
-    empirical_cdf,
     isolate_zeros,
     ks_distance,
     local_zero_count,
@@ -283,22 +282,83 @@ def test_estimates_are_only_hints():
             isolate_zeros(f, tol, separators=seps, estimates=wrong)
 
 
-def _count_evaluations(monkeypatch):
+def _exact_sign(f, num, shift):
+    v = poly.eval_dyadic(list(f.integer_form[0]), num, shift)
+    return (v > 0) - (v < 0)
+
+
+def _certified_sign(f, widths, num, shift):
+    v, _ = zeros._value(f, widths, num, shift)
+    return (v > 0) - (v < 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda r: st.tuples(st.just(r), st.tuples(*[st.integers(0, 4)] * r), st.integers(2, 60))
+    ),
+    st.lists(st.tuples(st.integers(0, 2**64), st.integers(0, 80)), max_size=30),
+)
+def test_certified_signs_are_exact_signs(case, points):
+    # at random dyadic points, and one ulp inside and outside every
+    # enclosure end, where the value nearly cancels and widths escalate;
+    # one width table serves the whole sequence, as in isolate_zeros
+    params = ModelParams(*case)
+    f = _rescaled(params)
+    widths = {}
+    for num, shift in points:
+        assert _certified_sign(f, widths, num, shift) == _exact_sign(f, num, shift)
+    tol = Fraction(1, 2**44)
+    for e in isolate_zeros(f, tol, separators=_separators(params)):
+        for end in (e.lo, e.hi):
+            num, shift = zeros._dyadic(end)
+            for q, s in ((num, shift), (2 * num - 1, shift + 1), (2 * num + 1, shift + 1)):
+                assert _certified_sign(f, widths, q, s) == _exact_sign(f, q, s)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 2**40), st.integers(0, 40)), min_size=1, max_size=6),
+    st.integers(1, 9),
+)
+def test_certified_signs_at_exact_dyadic_roots(roots, other):
+    # (3x - other) prod (2^s x - q): a dyadic root q / 2^s reads exactly 0,
+    # and one ulp either side reads the exact sign; long roots make the
+    # exact value's granularity finer than the first width, so the
+    # fixed-point passes run and fail before the exact Horner ends them
+    coeffs = [-other, 3]
+    for q, s in roots:
+        coeffs = [
+            (coeffs[k - 1] << s if k else 0) - (coeffs[k] * q if k < len(coeffs) else 0)
+            for k in range(len(coeffs) + 1)
+        ]
+    f = ExactPolynomial(coeffs)
+    widths = {}
+    for q, s in roots:
+        assert zeros._value(f, widths, q, s)[0] == 0
+        for num, shift in ((2 * q - 1, s + 1), (2 * q + 1, s + 1)):
+            assert _certified_sign(f, widths, num, shift) == _exact_sign(f, num, shift)
+    assert zeros._value(ExactPolynomial((9, -38, 40)), {}, 1, 1)[0] == 0
+
+
+def _count_evaluations(monkeypatch, module=zeros, name="_value"):
     calls = [0]
-    inner = zeros.eval_dyadic
+    inner = getattr(module, name)
 
     def counted(*args):
         calls[0] += 1
         return inner(*args)
 
-    monkeypatch.setattr(zeros, "eval_dyadic", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_estimates_cut_evaluations_per_root(monkeypatch):
-    # the six `fctk zeros --ks` jobs of the benchmark: 13.2-16.1 exact
-    # evaluations per root from the secant start, 9.3-11.8 from the estimates
+    # the six `fctk zeros --ks` jobs of the benchmark: 13.2-16.1 signs per
+    # root from the secant start, 9.3-11.8 from the estimates; every one is
+    # certified by the bounded Horner, none needs the exact one
     calls = _count_evaluations(monkeypatch)
+    exact = _count_evaluations(monkeypatch, poly, "eval_dyadic")
     n, tol = 100, Fraction(1, 10**12)
     for r in (1, 2, 3):
         for nu in ((0,) * r, tuple(range(1, r + 1))):
@@ -306,8 +366,10 @@ def test_estimates_cut_evaluations_per_root(monkeypatch):
             seps, est = zero_hints(params)
             f = _rescaled(params)
             calls[0] = 0
-            check_enclosures(f, isolate_zeros(f, tol, separators=seps, estimates=est), tol)
+            enclosures = isolate_zeros(f, tol, separators=seps, estimates=est)
             assert calls[0] <= 12 * n, (params, calls[0] / n)
+            assert exact[0] == 0, params
+            check_enclosures(f, enclosures, tol)
 
 
 def test_capped_refinement_evaluation_count(monkeypatch):
@@ -341,14 +403,6 @@ def test_rescaled_zeros_stay_near_support():
         m = rescaled_zero_measure(params, Fraction(1, 10**6))
         assert m.n == 25
         assert all(0 < x < float(x_star(r)) + 0.5 for x in m.points)
-
-
-def test_empirical_cdf():
-    m = EmpiricalMeasure((1.0, 3.0))
-    assert empirical_cdf(m, 0.5) == 0.0
-    assert empirical_cdf(m, 10.0) == 1.0
-    assert empirical_cdf(m, 2.0) == 0.5
-    assert empirical_cdf(m, 1.0) == 0.5  # right-continuous at jumps
 
 
 def test_ks_distance():
