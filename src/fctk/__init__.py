@@ -41,7 +41,6 @@ from .poly import (
     build_f,
     build_p,
     eval_exact,
-    poly_from_json,
     poly_to_json,
     rescale_arg,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "mean_moment",
     "msp_value",
     "normalized_poly",
-    "poly_from_json",
     "poly_to_json",
     "pr_approx",
     "pr_prefactor_log",

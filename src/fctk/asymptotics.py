@@ -196,13 +196,15 @@ def normalized_poly(params: ModelParams, c: PhiCoordinate) -> float:
 
     The point is rho(phi) in mpmath at the working precision of the
     assembly, prec = 140 + bitlen(n) + bitlen(r + sum(nu)) bits
-    (_working_prec), a dyadic within a few units of 2^-prec relative of
-    the true rho(phi).  poly.eval_bounded evaluates the polynomial
+    (_working_prec), a dyadic M 2^e within a few units of 2^-prec
+    relative of the true rho(phi), read once from the mpf as the pair
+    (M, -e) that poly.eval_bounded takes.  It evaluates the polynomial
     exactly there up to a certified error of at most 2^-64 of the value.
     Its fixed-point Horner errs by less than 2 (n + 1) units of 2^g,
     g = top - bits, with top the largest term's exponent
-    (poly.largest_term_exponent), and the value L F_n(n^r x) is about
-    L e^lm F~ with lm the log prefactor.  So `bits` starts at
+    (ExactPolynomial.term_top at the binade bitlen(M) + e), and the value
+    L F_n(n^r x) is about L e^lm F~ with lm the log prefactor.  So `bits`
+    starts at
 
         max(0, top - log2(L e^lm)) + 64 + bitlen(2n + 2) + _SPARE_BITS,
 
@@ -212,6 +214,7 @@ def normalized_poly(params: ModelParams, c: PhiCoordinate) -> float:
     the interval, where the formula's prefactor overshoots the value,
     the estimated cancellation is negative and is taken as 0.  The
     remaining roundings are those of the mpmath assembly at prec bits.
+    A point that is not finite raises DomainError.
     """
     _match(params, c)
     if params.n < 1:
@@ -221,15 +224,20 @@ def normalized_poly(params: ModelParams, c: PhiCoordinate) -> float:
     with mp.workprec(_working_prec(params)):
         phi = mp.mpf(c.phi)
         x = geometry.rho_at(params.r, phi, mp)
+        if not mp.isfinite(x):
+            raise DomainError(f"evaluation point must be finite, got {x!r}")
+        sign, man, exp, _ = x._mpf_
         lm = _log_prefactor(params, phi)
         cancellation = max(
             0,
-            poly.largest_term_exponent(rescaled, x)
+            rescaled.term_top(man.bit_length() + exp)
             - lcm.bit_length()
             - math.floor(lm / mp.ln2),
         )
         bits = cancellation + 64 + (2 * params.n + 2).bit_length() + _SPARE_BITS
-        value, _, exponent = poly.eval_bounded(rescaled, x, bits, 64)
+        value, _, exponent = poly.eval_bounded(
+            rescaled, -man if sign else man, -exp, bits, 64
+        )
         ratio = mp.ldexp(value, exponent) / lcm / mp.e**lm
     return float((-1) ** params.n * ratio)
 

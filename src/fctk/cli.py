@@ -10,6 +10,7 @@ inputs accept both 'p/q' and decimal strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -89,19 +90,14 @@ def cmd_zeros(parser, args) -> int:
     params = _params(parser, args)
     if args.tol <= 0:
         parser.error("tol must be positive")
-    rescaled = poly.rescale_arg(poly.build_f(params), params)
-    separators, estimates = asymptotics.zero_hints(params)
-    enclosures = zeros.isolate_zeros(
-        rescaled, args.tol, separators=separators, estimates=estimates
-    )
     if args.ks:
-        measure = zeros.EmpiricalMeasure(tuple(float(e.mid) for e in enclosures))
+        measure = zeros.rescaled_zero_measure(params, args.tol)
         dist = fuss_catalan.FussCatalanDist(params.r)
         _emit(_fmt(zeros.ks_distance(measure, dist)) + "\n", args.out)
         return 0
     rows = [
         (str(i), str(e.lo), str(e.hi), _fmt(e.mid))
-        for i, e in enumerate(enclosures)
+        for i, e in enumerate(zeros.rescaled_zeros(params, args.tol))
     ]
     _emit(_csv(rows, "index,lo,hi,mid"), args.out)
     return 0
@@ -236,7 +232,9 @@ def cmd_rmt(parser, args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call, then reused."""
     parser = argparse.ArgumentParser(
         prog="fctk",
         description="Ginibre-product characteristic polynomials, their "

@@ -10,12 +10,13 @@ significance in fixed precision once n is moderately large and the
 argument is of order n^r, so every downstream oracle evaluates through
 the lcm-scaled integer coefficients.  build_f and rescale_arg build that
 integer form directly from the factorial ratios, with no Fraction per
-coefficient.  Exact values come from a homogeneous Horner over the
-integers (eval_exact, eval_dyadic); root-isolation signs and
-normalized-polynomial plots by a fixed-point Horner with a certified
-error bound that ends at the exact one when the bound cannot be met
-(eval_bounded, eval_bounded_dyadic), over floored coefficients that
-the polynomial memoizes per binade of the point.
+coefficient.  Exact values come from one homogeneous Horner over the
+integers (_horner, behind eval_exact).  Root-isolation signs and
+normalized-polynomial plots come from one fixed-point Horner with a
+certified error bound (eval_bounded), at a dyadic point given as the
+integer pair (num, shift) for num / 2^shift, over floored coefficients
+that the polynomial memoizes per binade of the point; it ends at the
+exact Horner when the bound cannot be met.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-
-import mpmath as mp
 
 from .errors import DomainError
 
@@ -194,6 +193,15 @@ def rescale_arg(poly: ExactPolynomial, params: ModelParams) -> ExactPolynomial:
     return ExactPolynomial._from_integer_form(scaled, lcm // h)
 
 
+def _horner(ints, num: int, den: int) -> tuple[int, int]:
+    """(sum_k A_k num^k den^(n-k), den^n) for A = ints: Horner over the integers."""
+    acc, den_pow = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        den_pow *= den
+        acc = acc * num + c * den_pow
+    return acc, den_pow
+
+
 def eval_exact(poly: ExactPolynomial, x) -> Fraction:
     """Exact value at a rational x = N/D, with one reduction at the end.
 
@@ -201,49 +209,9 @@ def eval_exact(poly: ExactPolynomial, x) -> Fraction:
     that integer over L D^n; no rounding anywhere.
     """
     x = Fraction(x)
-    num, den = x.numerator, x.denominator
     ints, lcm = poly.integer_form
-    acc, den_pow = ints[-1], 1
-    for c in reversed(ints[:-1]):
-        den_pow *= den
-        acc = acc * num + c * den_pow
+    acc, den_pow = _horner(ints, x.numerator, x.denominator)
     return Fraction(acc, lcm * den_pow)
-
-
-def eval_dyadic(a, num: int, shift: int) -> int:
-    """Exact 2^(shift n) p(num / 2^shift) for p = sum_k a[k] x^k, integer a."""
-    n = len(a) - 1
-    acc = a[n]
-    for k in range(n - 1, -1, -1):
-        acc = acc * num + (a[k] << (shift * (n - k)))
-    return acc
-
-
-def _dyadic_parts(x) -> tuple[int, int]:
-    """(M, e) with x == M 2^e, for an int, float, mpf or dyadic Fraction."""
-    if isinstance(x, mp.mpf):
-        if not mp.isfinite(x):
-            raise DomainError(f"evaluation point must be finite, got {x!r}")
-        sign, man, exp, _ = x._mpf_
-        return (-man if sign else man), exp
-    try:
-        num, den = Fraction(x).as_integer_ratio()
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(f"evaluation point must be finite, got {x!r}") from exc
-    if den & (den - 1):
-        raise DomainError(f"evaluation point {x!r} is not dyadic")
-    return num, 1 - den.bit_length()
-
-
-def largest_term_exponent(poly: ExactPolynomial, x) -> int:
-    """top = max_k (bitlen(A_k) + k D) with |x| < 2^D, (A, L) = poly.integer_form.
-
-    Every term |A_k x^k| lies below 2^top, so a value that cancels c bits
-    against its largest term is near 2^(top - c).  D = bitlen(M) + e for
-    x = M 2^e, and top is memoized per D (ExactPolynomial.term_top).
-    """
-    man, e = _dyadic_parts(x)
-    return poly.term_top(abs(man).bit_length() + e)
 
 
 def _truncated_coefficients(poly: ExactPolynomial, d: int, g: int):
@@ -267,12 +235,15 @@ def _truncated_coefficients(poly: ExactPolynomial, d: int, g: int):
     return table
 
 
-def eval_bounded(poly: ExactPolynomial, x, bits: int, accuracy: int) -> tuple[int, int, int]:
+def eval_bounded(
+    poly: ExactPolynomial, num: int, shift: int, bits: int, accuracy: int
+) -> tuple[int, int, int]:
     """(v, err, g) with |L p(x) - v 2^g| <= err 2^g <= 2^-accuracy |L p(x)|.
 
-    (A, L) is poly.integer_form and x = M 2^e a finite dyadic, such as an
-    mpf.  Horner's rule runs in fixed point: with D = bitlen(M) + e, so
-    |x| < 2^D, and g = max_k (bitlen(A_k) + k D) - bits, about log2 of
+    (A, L) is poly.integer_form and x = num / 2^shift, for any integers
+    num and shift; the point is reduced first.  Horner's rule runs in
+    fixed point: with M the reduced numerator and D = bitlen(M) - shift,
+    so |x| < 2^D, and g = max_k (bitlen(A_k) + k D) - bits, about log2 of
     the largest term A_k x^k less `bits`, the Horner partial sum
     b_k = sum_(j >= k) A_j x^(j - k) is kept as an integer in units of
     2^(g - k D), so one unit of it moves the result b_0 by less than
@@ -282,8 +253,9 @@ def eval_bounded(poly: ExactPolynomial, x, bits: int, accuracy: int) -> tuple[in
     per step and stays below 2 (n + 1).  The value is returned once
     |v| >= err (2^accuracy + 1); otherwise `bits`, which must be
     positive, doubles.  Once the granularity 2^g is as fine as that of
-    the exact value, the exact integer Horner (eval_dyadic) ends the
-    search with err = 0, so an exact dyadic root reads 0.
+    the exact value, 2^(-n shift) for the reduced point, the exact
+    integer Horner ends the search with err = 0, so an exact dyadic root
+    reads 0.
 
     The floored coefficients depend only on (D, g), and the polynomial
     memoizes them: the last table per binade D, replaced when g changes
@@ -291,18 +263,6 @@ def eval_bounded(poly: ExactPolynomial, x, bits: int, accuracy: int) -> tuple[in
     (ExactPolynomial.term_top).  The memo lives and dies with the
     polynomial, and every returned triple is the one a fresh polynomial
     gives.
-    """
-    man, e = _dyadic_parts(x)
-    return eval_bounded_dyadic(poly, man, -e, bits, accuracy)
-
-
-def eval_bounded_dyadic(
-    poly: ExactPolynomial, num: int, shift: int, bits: int, accuracy: int
-) -> tuple[int, int, int]:
-    """eval_bounded at x = num / 2^shift, for any integers num and shift.
-
-    The point is reduced first, so the exact Horner that ends the search
-    runs at the granularity 2^(-n shift) of the reduced fraction.
     """
     if bits < 1:
         raise DomainError(f"bits must be positive, got {bits}")
@@ -330,7 +290,7 @@ def eval_bounded_dyadic(
         if abs(acc) >= err * ((1 << accuracy) + 1):
             return acc, err, g
         bits *= 2
-    return eval_dyadic(ints, num << max(-shift, 0), max(shift, 0)), 0, exact_g
+    return _horner(ints, num << max(-shift, 0), 1 << max(shift, 0))[0], 0, exact_g
 
 
 def poly_to_json(params: ModelParams, poly: ExactPolynomial) -> str:
@@ -342,10 +302,3 @@ def poly_to_json(params: ModelParams, poly: ExactPolynomial) -> str:
         "coeffs": [str(c) for c in poly.coeffs],
     }
     return json.dumps(payload)
-
-
-def poly_from_json(text: str) -> tuple[ModelParams, ExactPolynomial]:
-    data = json.loads(text)
-    params = ModelParams(r=data["r"], nu=tuple(data["nu"]), n=data["n"])
-    coeffs = tuple(Fraction(s) for s in data["coeffs"])
-    return params, ExactPolynomial(coeffs)

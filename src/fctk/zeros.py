@@ -2,8 +2,8 @@
 
 Every decision is proven: the coefficients span hundreds of orders of
 magnitude after the n^r rescaling, so floating point cannot certify a
-sign.  The sign at a dyadic point comes from one kernel,
-poly.eval_bounded_dyadic at accuracy 0: a fixed-point Horner over the
+sign.  The sign at a dyadic point num / 2^shift comes from one kernel,
+poly.eval_bounded at accuracy 0: a fixed-point Horner over the
 lcm-scaled integer coefficients (ExactPolynomial.integer_form) with a
 running error bound (Higham, "Accuracy and Stability of Numerical
 Algorithms", 5.1), which returns a value v at least twice its bound, so
@@ -11,7 +11,9 @@ v has the exact sign, and which doubles its width until it does, ending
 at the exact integer Horner, so an exact dyadic root reads 0.  A root's
 refinement starts each binade of x at the width that last certified
 there (_value).  The Descartes counts work on exact integer Taylor
-shifts.
+shifts.  A bracket is the integer triple (lo, hi, shift) for the ends
+lo / 2^shift and hi / 2^shift from the certificate to the refinement;
+only the returned ZeroEnclosure holds Fractions.
 
 Certificate.  The oscillatory formula puts one zero of F_n(n^r x)
 between consecutive extrema of its cosine approximant
@@ -59,7 +61,7 @@ from .asymptotics import zero_hints
 from .errors import DomainError, IsolationFailure, NotSquareFree
 from .fuss_catalan import FussCatalanDist
 from .geometry import x_star
-from .poly import ExactPolynomial, ModelParams, build_f, eval_bounded_dyadic, rescale_arg
+from .poly import ExactPolynomial, ModelParams, build_f, eval_bounded, rescale_arg
 
 DEFAULT_TOL = Fraction(1, 10**12)
 
@@ -231,11 +233,6 @@ def _square_free(a: list[int]) -> bool:
     return len(fa) <= 1
 
 
-def _dyadic(q: Fraction) -> tuple[int, int]:
-    """(num, shift) with q == num / 2^shift; q must be dyadic."""
-    return q.numerator, q.denominator.bit_length() - 1
-
-
 def _fujiwara_exponent(a: list[int]) -> int:
     """F with every root of a below 2^(F - 1), from coefficient bit lengths."""
     n = len(a) - 1
@@ -269,7 +266,7 @@ def _first_width(degree: int) -> int:
 def _value(poly: ExactPolynomial, widths: dict, num: int, shift: int) -> tuple[int, int]:
     """(v, g): v 2^g has the sign of L p(num / 2^shift), and v == 0 only at a root.
 
-    One certified sign: poly.eval_bounded_dyadic at accuracy 0 returns
+    One certified sign: poly.eval_bounded at accuracy 0 returns
     |v| >= 2 err, and |L p(x) - v 2^g| <= err 2^g, so v 2^g has the sign
     of the value and errs by at most half its own size; an exact root
     ends at the exact Horner and reads 0.  `widths` maps a binade d
@@ -284,7 +281,7 @@ def _value(poly: ExactPolynomial, widths: dict, num: int, shift: int) -> tuple[i
         bits = _first_width(poly.degree)
         entry = widths[d] = bits, poly.term_top(d) - bits
     bits, g_start = entry
-    v, err, g = eval_bounded_dyadic(poly, num, shift, bits, 0)
+    v, err, g = eval_bounded(poly, num, shift, bits, 0)
     if err and g < g_start:
         widths[d] = bits + g_start - g, g
     return v, g
@@ -293,68 +290,85 @@ def _value(poly: ExactPolynomial, widths: dict, num: int, shift: int) -> tuple[i
 def _seeded_brackets(poly: ExactPolynomial, widths: dict, separators, fujiwara: int):
     """One bracket per root from certified signs at 0, the separators and 2^F.
 
-    Returns (lo, hi, (v, g) at lo, (v, g) at hi) per gap with a strict
-    sign change, or None unless exactly n gaps change sign: n sign
-    changes of a degree-n polynomial prove one simple root in each of
-    those gaps and none elsewhere.
+    Returns ((lo, hi, shift), ((v, g) at lo, (v, g) at hi)) per gap with
+    a strict sign change, or None unless exactly n gaps change sign: n
+    sign changes of a degree-n polynomial prove one simple root in each
+    of those gaps and none elsewhere.  A double separator is exactly
+    num / 2^shift (float.as_integer_ratio), and each bracket puts its
+    ends on the larger of their two shifts.
     """
     n = poly.degree
-    points = [Fraction(0)]
+    points = [(0, 0)]
     for s in separators:
         s = float(s)
         if not math.isfinite(s):
             return None
-        points.append(Fraction(s))
-    points.append(Fraction(2**fujiwara))
-    if any(p >= q for p, q in zip(points, points[1:])):
+        num, den = s.as_integer_ratio()
+        points.append((num, den.bit_length() - 1))
+    points.append((1 << fujiwara, 0))
+    if any(a << t >= b << s for (a, s), (b, t) in zip(points, points[1:])):
         return None
-    values = [_value(poly, widths, *_dyadic(p)) for p in points]
+    values = [_value(poly, widths, num, shift) for num, shift in points]
     if any(v == 0 for v, _ in values):
         return None
-    brackets = [
-        (points[i], points[i + 1], values[i], values[i + 1])
-        for i in range(len(points) - 1)
-        if (values[i][0] > 0) != (values[i + 1][0] > 0)
-    ]
+    brackets = []
+    for (a, s), (b, t), u, w in zip(points, points[1:], values, values[1:]):
+        if (u[0] > 0) != (w[0] > 0):
+            shift = max(s, t)
+            brackets.append(((a << (shift - s), b << (shift - t), shift), (u, w)))
     return brackets if len(brackets) == n else None
 
 
-def _descartes_brackets(a: list[int], fujiwara: int) -> list[tuple[Fraction, Fraction]]:
-    """Isolating dyadic brackets by Descartes bisection; lo == hi is an exact root."""
+def _descartes_brackets(a: list[int], fujiwara: int) -> list[tuple[int, int, int]]:
+    """Isolating brackets (lo, hi, shift) by Descartes bisection, in order.
+
+    The ends are lo / 2^shift and hi / 2^shift, and lo == hi is an exact
+    root.  The brackets are sorted by the pair (lo, hi) on a common
+    shift, so an exact root comes before a bracket that starts at it.
+    """
     n = len(a) - 1
-    brackets: list[tuple[Fraction, Fraction]] = []
+    brackets: list[tuple[int, int, int]] = []
 
-    def emit(base: Fraction, span: Fraction, ivs, exacts):
+    def emit(base: int, span: int, ivs, exacts):
+        # the cell (c, k) of the segment (base, base + span) is
+        # base + span (c, c + 1) / 2^k
         for c, k in ivs:
-            brackets.append(
-                (base + span * Fraction(c, 2**k), base + span * Fraction(c + 1, 2**k))
-            )
+            lo = (base << k) + c * span
+            brackets.append((lo, lo + span, k))
         for c, k in exacts:
-            pt = base + span * Fraction(c, 2**k)
-            brackets.append((pt, pt))
+            lo = (base << k) + c * span
+            brackets.append((lo, lo, k))
 
-    ivs, exacts = _isolate01(a)
-    emit(Fraction(0), Fraction(1), ivs, exacts)
+    emit(0, 1, *_isolate01(a))
     j = 0
     while len(brackets) < n and j <= fujiwara:
         base = 1 << j
         seg = [c * base**k for k, c in enumerate(a)] if j else list(a)
         seg = _taylor_shift1(seg)  # roots in (0,1) <-> roots of a in (base, 2 base)
         if seg[0] == 0:
-            brackets.append((Fraction(base), Fraction(base)))
+            brackets.append((base, base, 0))
             while seg[0] == 0:
                 seg.pop(0)
-        ivs, exacts = _isolate01(_strip_content2(seg))
-        emit(Fraction(base), Fraction(base), ivs, exacts)
+        emit(base, base, *_isolate01(_strip_content2(seg)))
         j += 1
+    shift = max((k for _, _, k in brackets), default=0)
+    brackets.sort(key=lambda b: (b[0] << (shift - b[2]), b[1] << (shift - b[2])))
     return brackets
 
 
+def _exact_root(num: int, shift: int) -> ZeroEnclosure:
+    x = Fraction(num, 1 << shift)
+    return ZeroEnclosure(x, x)
+
+
 def _refine(
-    poly: ExactPolynomial, widths: dict, lo: Fraction, hi: Fraction, tol: Fraction,
-    end_values=None, estimate=None,
-):
-    """Shrink a bracket around one simple root below tol by secant steps (QIR).
+    poly: ExactPolynomial, widths: dict, bracket, tol: Fraction, end_values=None,
+    estimate=None,
+) -> ZeroEnclosure:
+    """Shrink a bracket (lo, hi, shift) around one simple root below tol (QIR).
+
+    The bracket's ends are lo / 2^shift and hi / 2^shift, and lo == hi is
+    an exact root, returned as it is.
 
     Quadratic interval refinement: the bracket is cut into N = 2^m equal
     dyadic cells, a secant through the values at the bracket's ends picks
@@ -384,16 +398,12 @@ def _refine(
     read from the derivative there (the roots are simple); only a new
     interior probe can return an exact root.
     """
-    if lo == hi:
-        return lo, hi
-    (lo_n, s), (hi_n, t) = _dyadic(lo), _dyadic(hi)
+    lo_n, hi_n, s = bracket
+    if lo_n == hi_n:
+        return _exact_root(lo_n, s)
     if end_values is None:
-        end_values = _value(poly, widths, lo_n, s), _value(poly, widths, hi_n, t)
+        end_values = _value(poly, widths, lo_n, s), _value(poly, widths, hi_n, s)
     (v_lo, g_lo), (v_hi, g_hi) = end_values
-    if s < t:
-        lo_n, s = lo_n << (t - s), t
-    elif t < s:
-        hi_n <<= s - t
     if v_lo:
         pos_lo = v_lo > 0
     else:
@@ -430,20 +440,20 @@ def _refine(
             x0 = lo_f + j * cell
             v0, g0 = (v_lo, g_lo) if j == 0 else _value(poly, widths, x0, shift)
             if v0 == 0:
-                return (Fraction(x0, 1 << shift),) * 2
+                return _exact_root(x0, shift)
             if (v0 > 0) == pos_lo:
                 # the root lies right of x0: test the cell [x0, x0 + cell]
                 x1 = x0 + cell
                 v1, g1 = (v_hi, g_hi) if x1 == hi_f else _value(poly, widths, x1, shift)
                 if v1 == 0:
-                    return (Fraction(x1, 1 << shift),) * 2
+                    return _exact_root(x1, shift)
                 ok = (v1 > 0) != pos_lo
             else:
                 # the root lies left of x0: test the cell [x0 - cell, x0]
                 x0, x1, v1, g1 = x0 - cell, x0, v0, g0
                 v0, g0 = (v_lo, g_lo) if x0 == lo_f else _value(poly, widths, x0, shift)
                 if v0 == 0:
-                    return (Fraction(x0, 1 << shift),) * 2
+                    return _exact_root(x0, shift)
                 ok = (v0 > 0) == pos_lo
             if ok:
                 lo_n, hi_n, s = x0, x1, shift
@@ -456,13 +466,13 @@ def _refine(
         gained += 1
         v_mid, g_mid = _value(poly, widths, mid, s)
         if v_mid == 0:
-            return (Fraction(mid, 1 << s),) * 2
+            return _exact_root(mid, s)
         lo_n, hi_n = 2 * lo_n, 2 * hi_n
         if (v_mid > 0) == pos_lo:
             lo_n, v_lo, g_lo = mid, v_mid, g_mid
         else:
             hi_n, v_hi, g_hi = mid, v_mid, g_mid
-    return Fraction(lo_n, 1 << s), Fraction(hi_n, 1 << s)
+    return ZeroEnclosure(Fraction(lo_n, 1 << s), Fraction(hi_n, 1 << s))
 
 
 def isolate_zeros(
@@ -506,8 +516,8 @@ def isolate_zeros(
     )
     if seeded is not None:
         return [
-            ZeroEnclosure(*_refine(poly, dict(widths), lo, hi, tol, (v_lo, v_hi), est))
-            for (lo, hi, v_lo, v_hi), est in zip(seeded, estimates)
+            _refine(poly, dict(widths), bracket, tol, end_values, est)
+            for (bracket, end_values), est in zip(seeded, estimates)
         ]
 
     if not _square_free(a):
@@ -517,22 +527,25 @@ def isolate_zeros(
         raise IsolationFailure(
             f"found {len(brackets)} positive simple roots for degree {n}"
         )
-    brackets.sort()
     return [
-        ZeroEnclosure(*_refine(poly, dict(widths), lo, hi, tol, estimate=est))
-        for (lo, hi), est in zip(brackets, estimates)
+        _refine(poly, dict(widths), bracket, tol, estimate=est)
+        for bracket, est in zip(brackets, estimates)
     ]
 
 
 # ---------------------------------------------------------------------------
 # measures built from the zeros
 
-def rescaled_zero_measure(params: ModelParams, tol=DEFAULT_TOL) -> EmpiricalMeasure:
-    """Zero counting measure of F_n(n^r x): enclosure midpoints, mass 1/n each."""
+def rescaled_zeros(params: ModelParams, tol=DEFAULT_TOL) -> list[ZeroEnclosure]:
+    """Enclosures of the zeros of F_n(n^r x), with the hints of zero_hints."""
     rescaled = rescale_arg(build_f(params), params)
     separators, estimates = zero_hints(params)
-    enclosures = isolate_zeros(rescaled, tol, separators=separators, estimates=estimates)
-    return EmpiricalMeasure(tuple(float(e.mid) for e in enclosures))
+    return isolate_zeros(rescaled, tol, separators=separators, estimates=estimates)
+
+
+def rescaled_zero_measure(params: ModelParams, tol=DEFAULT_TOL) -> EmpiricalMeasure:
+    """Zero counting measure of F_n(n^r x): enclosure midpoints, mass 1/n each."""
+    return EmpiricalMeasure(tuple(float(e.mid) for e in rescaled_zeros(params, tol)))
 
 
 def ks_distance(m: EmpiricalMeasure, d: FussCatalanDist) -> float:

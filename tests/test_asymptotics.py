@@ -254,25 +254,21 @@ def test_normalized_poly_property(case):
 
 
 def test_fig1_grid_needs_no_exact_evaluation(monkeypatch):
-    # eval_bounded certifies every default row at its first precision; the
-    # exact Horner it ends at is counted too, and reached at a dyadic root
-    calls = {"eval_exact": 0, "eval_dyadic": 0}
+    # eval_bounded certifies every default row at its first precision: the
+    # one exact Horner (behind eval_exact and eval_bounded's exact end)
+    # never runs, and it is reached at a dyadic root
+    calls = [0]
+    inner = poly._horner
 
-    def counted(name):
-        inner = getattr(poly, name)
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-
-        monkeypatch.setattr(poly, name, wrapper)
-
-    counted("eval_exact")
-    counted("eval_dyadic")
+    monkeypatch.setattr(poly, "_horner", counted)
     fig1_dataset(FIG1_PARAMS, FIG1_PHI_LO, FIG1_PHI_HI, FIG1_COUNT)
-    assert calls == {"eval_exact": 0, "eval_dyadic": 0}
-    assert poly.eval_bounded(poly.ExactPolynomial((9, -38, 40)), 0.5, 64, 53)[0] == 0
-    assert calls == {"eval_exact": 0, "eval_dyadic": 1}
+    assert calls == [0]
+    assert poly.eval_bounded(poly.ExactPolynomial((9, -38, 40)), 1, 1, 64, 53)[0] == 0
+    assert calls == [1]
 
 
 def test_fig1_rows_certify_on_the_first_pass(monkeypatch):
@@ -281,9 +277,9 @@ def test_fig1_rows_certify_on_the_first_pass(monkeypatch):
     passes = []
     inner = poly.eval_bounded
 
-    def recorded(p, x, bits, accuracy):
-        out = inner(p, x, bits, accuracy)
-        passes.append(out[2] == poly.largest_term_exponent(p, x) - bits)
+    def recorded(p, num, shift, bits, accuracy):
+        out = inner(p, num, shift, bits, accuracy)
+        passes.append(out[2] == p.term_top(abs(num).bit_length() - shift) - bits)
         return out
 
     monkeypatch.setattr(poly, "eval_bounded", recorded)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,13 +8,19 @@ import sys
 import pytest
 
 import fctk
-from fctk.cli import main
+from fctk.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_parser_is_built_once(capsys):
+    parser = build_parser()
+    run_cli(capsys, "fc", "moment", "--r", "2", "--k", "3")
+    assert build_parser() is parser
 
 
 def test_poly_eval(capsys):
@@ -117,6 +124,20 @@ def test_fig1_small(capsys):
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == pytest.approx(0.5 * math.pi / 4)
     assert abs(first[1] - first[2]) < 0.25
+
+
+# SHA-256 of `fctk fig1` at its defaults: a change to the normalized
+# polynomial, its evaluation kernel or the mpmath assembly that moves one
+# byte of the CSV fails here.  The path is mpmath and integer arithmetic
+# only, so no libm or BLAS enters the bytes.
+FIG1_DEFAULT_SHA256 = "27190cea4df82146938e20dc7b45247423a6aca31f8feb711209b53c4eb5f13a"
+
+
+def test_fig1_default_csv_is_byte_identical(capsys):
+    code, out, _ = run_cli(capsys, "fig1")
+    assert code == 0
+    assert len(out.splitlines()) == 201
+    assert hashlib.sha256(out.encode()).hexdigest() == FIG1_DEFAULT_SHA256
 
 
 def test_fig1_clamps_window(capsys):

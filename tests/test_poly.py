@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from fctk.poly import (
     build_p,
     eval_bounded,
     eval_exact,
-    poly_from_json,
     poly_to_json,
     rescale_arg,
 )
@@ -178,10 +178,9 @@ def test_laguerre_specialization():
 def test_json_round_trip():
     params = ModelParams(2, (0, 3), 4)
     f = build_f(params)
-    params2, f2 = poly_from_json(poly_to_json(params, f))
-    assert params2 == params
-    assert f2 == f
-    assert '"coeffs"' in poly_to_json(params, f)
+    data = json.loads(poly_to_json(params, f))
+    assert ModelParams(data["r"], tuple(data["nu"]), data["n"]) == params
+    assert tuple(Fraction(c) for c in data["coeffs"]) == f.coeffs
 
 
 def test_params_validation():
@@ -229,12 +228,9 @@ def test_edge_inputs_raise_domain_error():
         assert isinstance(exc.value, DomainError) and isinstance(exc.value, ValueError)
 
 
-def _inside_bound(p, x, got, accuracy):
+def _inside_bound(p, num, shift, got, accuracy):
     v, err, g = got
-    if isinstance(x, mp.mpf):
-        sign, man, e, _ = x._mpf_
-        x = Fraction((-1) ** sign * man) * Fraction(2) ** e
-    exact = eval_exact(p, Fraction(x)) * p.integer_form[1]
+    exact = eval_exact(p, Fraction(num) / Fraction(2) ** shift) * p.integer_form[1]
     approx, bound = Fraction(v) * Fraction(2) ** g, Fraction(err) * Fraction(2) ** g
     assert abs(exact - approx) <= bound
     assert bound * 2**accuracy <= abs(exact)
@@ -260,25 +256,24 @@ def test_eval_bounded_holds_its_bound(rnu, n, rescaled, man, e, bits, accuracy):
     p = build_f(params)
     if rescaled:
         p = rescale_arg(p, params)
-    x = Fraction(man) * Fraction(2) ** e
-    _inside_bound(p, x, eval_bounded(p, x, bits, accuracy), accuracy)
+    _inside_bound(p, man, -e, eval_bounded(p, man, -e, bits, accuracy), accuracy)
 
 
 def test_eval_bounded_point_types_and_edges():
     p = rescale_arg(build_f(ModelParams(3, (2, 4, 5), 40)), ModelParams(3, (2, 4, 5), 40))
-    for x in (mp.mpf("0.37"), mp.mpf("-0.37"), -2.75, 3, Fraction(-5, 1024), 2**70, mp.mpf(2) ** -300):
-        _inside_bound(p, x, eval_bounded(p, x, 64, 53), 53)
+    # -2.75, 3, -5/1024 (and unreduced as -20/4096), 2^70 at a negative
+    # shift, 2^-300
+    for num, shift in ((-11, 2), (3, 0), (-5, 10), (-20, 12), (1, -70), (1, 300)):
+        _inside_bound(p, num, shift, eval_bounded(p, num, shift, 64, 53), 53)
     # constant polynomials and x = 0 are exact
     ints, _ = p.integer_form
-    assert eval_bounded(p, 0, 64, 53) == (ints[0], 0, 0)
-    assert eval_bounded(ExactPolynomial((Fraction(-5, 3),)), 7, 64, 53) == (-5, 0, 0)
-    for bad in (Fraction(1, 3), float("nan"), mp.inf):
-        with pytest.raises(DomainError):
-            eval_bounded(p, bad, 64, 53)
+    assert eval_bounded(p, 0, 0, 64, 53) == (ints[0], 0, 0)
+    assert eval_bounded(p, 0, 17, 64, 53) == (ints[0], 0, 0)
+    assert eval_bounded(ExactPolynomial((Fraction(-5, 3),)), 7, 0, 64, 53) == (-5, 0, 0)
     # bits that doubling cannot grow
     for bits in (0, -413):
         with pytest.raises(DomainError):
-            eval_bounded(p, mp.mpf("0.37"), bits, 53)
+            eval_bounded(p, 37, 7, bits, 53)
 
 
 @settings(max_examples=30, deadline=None)
@@ -307,11 +302,10 @@ def test_eval_bounded_memo_is_pure(rnu, n, calls):
     p = rescale_arg(build_f(params), params)
     binades = set()
     for man, e, bits, accuracy in calls:
-        x = Fraction(man) * Fraction(2) ** e
         fresh = ExactPolynomial(p.coeffs)
-        assert eval_bounded(p, x, bits, accuracy) == eval_bounded(fresh, x, bits, accuracy)
-        num, den = x.as_integer_ratio()
-        binades.add(num.bit_length() - den.bit_length() + 1)
+        got = eval_bounded(p, man, -e, bits, accuracy)
+        assert got == eval_bounded(fresh, man, -e, bits, accuracy)
+        binades.add(man.bit_length() + e)
         assert set(p._tables) <= binades
 
 
@@ -319,8 +313,8 @@ def test_eval_bounded_reads_an_exact_dyadic_root_as_zero():
     # (2x - 1)(20x - 9) at its dyadic root 1/2: no fixed-point attempt can
     # certify a sign, so the search ends at the exact Horner
     p = ExactPolynomial((9, -38, 40))
-    for x in (Fraction(1, 2), 0.5, mp.mpf(0.5)):
-        v, err, _ = eval_bounded(p, x, 8, 64)
+    for num, shift in ((1, 1), (2, 2), (4, 3)):
+        v, err, _ = eval_bounded(p, num, shift, 8, 64)
         assert v == 0 and err == 0
-    near = Fraction(461, 1024)  # 2e-4 from the root 9/20: the terms cancel 14 bits
-    _inside_bound(p, near, eval_bounded(p, near, 8, 30), 30)
+    # 461/1024 is 2e-4 from the root 9/20: the terms cancel 14 bits
+    _inside_bound(p, 461, 10, eval_bounded(p, 461, 10, 8, 30), 30)

@@ -91,6 +91,34 @@ def test_bracket_ending_on_a_dyadic_root():
             assert any(e.lo < other < e.hi for e in enc)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sets(
+        st.builds(lambda s, q: Fraction(q, 2**s), st.integers(0, 3), st.integers(1, 16)),
+        min_size=2,
+        max_size=5,
+    ),
+    st.sampled_from([3, 5, 7, 9, 11, 13]),
+    st.integers(1, 60),
+)
+def test_descartes_brackets_around_dyadic_roots(dyadic, m, t):
+    # prod (2^s x - q) (m x - t): dyadic roots on Descartes bisection
+    # points, which come out as exact roots, and brackets that start or end
+    # at them, beside one root t/m that is not dyadic
+    if t % m == 0:
+        t += 1
+    coeffs = [-t, m]
+    for root in dyadic:
+        q, den = root.numerator, root.denominator
+        coeffs = [
+            (coeffs[k - 1] * den if k else 0) - (coeffs[k] * q if k < len(coeffs) else 0)
+            for k in range(len(coeffs) + 1)
+        ]
+    f = ExactPolynomial(coeffs)
+    for tol in (Fraction(1, 10**12), Fraction(1)):
+        check_enclosures(f, isolate_zeros(f, tol), tol)
+
+
 def test_root_count_small_sweep():
     # wider sweep runs in the acceptance suite
     tol = Fraction(1, 10**9)
@@ -283,7 +311,7 @@ def test_estimates_are_only_hints():
 
 
 def _exact_sign(f, num, shift):
-    v = poly.eval_dyadic(list(f.integer_form[0]), num, shift)
+    v = eval_exact(f, Fraction(num) / Fraction(2) ** shift)
     return (v > 0) - (v < 0)
 
 
@@ -311,7 +339,8 @@ def test_certified_signs_are_exact_signs(case, points):
     tol = Fraction(1, 2**44)
     for e in isolate_zeros(f, tol, separators=_separators(params)):
         for end in (e.lo, e.hi):
-            num, shift = zeros._dyadic(end)
+            num, den = end.as_integer_ratio()
+            shift = den.bit_length() - 1
             for q, s in ((num, shift), (2 * num - 1, shift + 1), (2 * num + 1, shift + 1)):
                 assert _certified_sign(f, widths, q, s) == _exact_sign(f, q, s)
 
@@ -358,18 +387,22 @@ def test_estimates_cut_evaluations_per_root(monkeypatch):
     # root from the secant start, 9.3-11.8 from the estimates; every one is
     # certified by the bounded Horner, none needs the exact one
     calls = _count_evaluations(monkeypatch)
-    exact = _count_evaluations(monkeypatch, poly, "eval_dyadic")
+    exact = _count_evaluations(monkeypatch, poly, "_horner")
     n, tol = 100, Fraction(1, 10**12)
     for r in (1, 2, 3):
         for nu in ((0,) * r, tuple(range(1, r + 1))):
             params = ModelParams(r, nu, n)
             seps, est = zero_hints(params)
             f = _rescaled(params)
-            calls[0] = 0
+            calls[0] = exact[0] = 0
             enclosures = isolate_zeros(f, tol, separators=seps, estimates=est)
             assert calls[0] <= 12 * n, (params, calls[0] / n)
             assert exact[0] == 0, params
             check_enclosures(f, enclosures, tol)
+    # the counter sees the exact Horner that ends a sign at a dyadic root
+    exact[0] = 0
+    assert zeros._value(ExactPolynomial((9, -38, 40)), {}, 1, 1)[0] == 0
+    assert exact[0] == 1
 
 
 def test_capped_refinement_evaluation_count(monkeypatch):
