@@ -44,13 +44,12 @@ from .poly import (
     poly_to_json,
     rescale_arg,
 )
-from .rmt import SpectrumSample, aggregate_measure, mean_moment, sample_spectrum
+from .rmt import aggregate_measure, mean_moment, sample_spectrum
 from .zeros import (
     EmpiricalMeasure,
     ZeroEnclosure,
     isolate_zeros,
     ks_distance,
-    local_zero_count,
     rescaled_zero_measure,
 )
 
@@ -74,7 +73,6 @@ __all__ = [
     "PhiCoordinate",
     "QuadratureFailure",
     "QuadratureGrid",
-    "SpectrumSample",
     "ZeroEnclosure",
     "aggregate_measure",
     "build_f",
@@ -86,7 +84,6 @@ __all__ = [
     "identity_check",
     "isolate_zeros",
     "ks_distance",
-    "local_zero_count",
     "mean_moment",
     "msp_value",
     "normalized_poly",

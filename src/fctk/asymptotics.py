@@ -118,18 +118,20 @@ def cosine_approximant(params: ModelParams, c: PhiCoordinate) -> float:
         return float(mp.cos(_cos_argument(params, mp.mpf(c.phi))))
 
 
-def zero_hints(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Separators and zero estimates of F_n(n^r x) from the cosine approximant.
+def zero_hints(params: ModelParams) -> np.ndarray:
+    """The hints of zeros.isolate_zeros for F_n(n^r x), from the cosine approximant.
 
     The phase n f - g runs from -pi/4 at phi = 0 past n pi at
     phi = pi/(r+1), and one call of geometry.solve_phi finds its 2n - 1
-    crossings of j pi/2, j = 1..2n-1.  The even j give the separators
-    x_k = rho(phi_k) with n f(phi_k) - g(phi_k) = k pi, k = 1..n-1: the
-    extrema of cosine_approximant, so the oscillatory formula puts one
-    zero in each gap between consecutive points, one below the first and
-    one above the last.  The odd j, where the cosine vanishes, give n
-    increasing estimates of the zeros themselves.  Both are hints for
-    zeros.isolate_zeros, which proves or rejects them by certified signs.
+    crossings of j pi/2, j = 1..2n-1, returned as the increasing points
+    x = rho(phi_j), with no rounding.  The odd j, where the cosine
+    vanishes, give the even positions: n estimates of the zeros
+    themselves.  The even j = 2k give the odd positions, the separators
+    x_k with n f(phi_k) - g(phi_k) = k pi, k = 1..n-1: the extrema of
+    cosine_approximant, so the oscillatory formula puts one zero in each
+    gap between consecutive separators, one below the first and one
+    above the last.  zeros.isolate_zeros proves or rejects them by
+    certified signs.
     """
     r, n, nu = params.r, params.n, params.nu
     phi = geometry.solve_phi(
@@ -137,20 +139,7 @@ def zero_hints(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
         lambda t: n * geometry.f_at(r, t, np) - geometry.g_shift_at(r, nu, t, np),
         np.pi / 2 * np.arange(1, 2 * n),
     )
-    x = geometry.rho_at(r, phi, np)[::-1]
-    seps, estimates = x[1::2], x[0::2]
-    if seps.size == 0:
-        return seps, estimates
-    # round each separator to a multiple of a power of two at most 1/8 of
-    # the gaps beside it: the points move by 1/16 of a gap at most, and the
-    # exact evaluations at them and at the refinement's grid points, whose
-    # cost grows with their bit length, stay cheap
-    gaps = np.diff(seps, prepend=0.0)
-    near = np.minimum(gaps, np.append(gaps[1:], np.inf))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a gap <= 0 yields nan, which isolate_zeros takes as no certificate
-        step = np.exp2(np.floor(np.log2(near / 8)))
-        return np.round(seps / step) * step, estimates
+    return geometry.rho_at(r, phi, np)[::-1]
 
 
 def pr_prefactor_log(params: ModelParams, c: PhiCoordinate) -> PRValue:

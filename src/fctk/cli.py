@@ -242,13 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model(p, n_default=None):
+    def add_model(p):
         p.add_argument("--r", type=int, required=True, help="number of factors")
         p.add_argument("--nu", type=_nu_list, required=True, help="comma list of offsets")
-        if n_default is None:
-            p.add_argument("--n", type=int, required=True, help="polynomial degree")
-        else:
-            p.add_argument("--n", type=int, default=n_default)
+        p.add_argument("--n", type=int, required=True, help="polynomial degree")
 
     def add_out(p):
         p.add_argument("--out", help="output path (default stdout)")
@@ -262,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeros", help="isolate the zeros of F_n(n^r x)")
     add_model(p)
-    p.add_argument("--tol", type=_rational, default=Fraction(1, 10**12))
+    p.add_argument("--tol", type=_rational, default=zeros.DEFAULT_TOL)
     p.add_argument("--ks", action="store_true", help="print only the KS distance")
     add_out(p)
 

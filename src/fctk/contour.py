@@ -59,6 +59,8 @@ class QuadratureGrid:
     def __post_init__(self):
         if self.r < 1:
             raise DomainError(f"dimension r must be >= 1, got {self.r}")
+        if not isinstance(self.m, int):
+            raise DomainError(f"points per axis must be an integer, got {self.m!r}")
         if self.m < 8:
             raise GuardExceeded(f"need at least 8 points per axis, got {self.m}")
 

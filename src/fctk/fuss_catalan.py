@@ -34,20 +34,22 @@ _QUAD_REL_TARGET = 1e-12
 # (|w|^(r+1) + |z w| + |z|) / |w f'(w)| over 11 000 roots, r <= 5, with z near
 # the cut, near 0 (down to 1e-300) and x_star, and out to |z| = 1e100
 _MARGIN = 64 * 2.0**-52
+# nodes P of stieltjes_moments; its docstring bounds the aliasing at P = 32
+_MOMENT_NODES = 32
 
 
-def _quad(func, lo, hi, rel=_QUAD_REL_TARGET):
+def _quad(func, lo, hi):
     # imported on first use: it costs about 0.4 s and 50 MB per process
     from scipy.integrate import quad
 
     value, err, info, *tail = quad(
-        func, lo, hi, epsabs=0.0, epsrel=rel, limit=200, full_output=1
+        func, lo, hi, epsabs=0.0, epsrel=_QUAD_REL_TARGET, limit=200, full_output=1
     )
     if tail:
         raise QuadratureFailure(
             f"quadrature flagged: {tail[0]} (achieved error estimate {err})"
         )
-    if err > 1e3 * rel * max(abs(value), 1e-300):
+    if err > 1e3 * _QUAD_REL_TARGET * max(abs(value), 1e-300):
         raise QuadratureFailure(f"error estimate {err} too large for value {value}")
     return value
 
@@ -79,10 +81,12 @@ class FussCatalanDist:
     def density_x(self, x: float) -> float:
         """Density at x; 0 outside the open support by convention.
 
-        Raises DomainError where no double angle puts rho(phi) within
-        1e-8 x of x: near the hard edge x -> 0 the angle pins to
-        pi/(r+1) and the closed form would return a wrong number.
+        Raises DomainError at nan, and where no double angle puts
+        rho(phi) within 1e-8 x of x: near the hard edge x -> 0 the angle
+        pins to pi/(r+1) and the closed form would return a wrong number.
         """
+        if math.isnan(x):
+            raise DomainError("density of nan")
         if not (0.0 < x < self.support[1]):
             return 0.0
         c = geometry.rho_inv(self.r, x)
@@ -180,17 +184,19 @@ class FussCatalanDist:
             raise DomainError(f"z={z} lies on the support cut [0, {self.support[1]}]")
         return self._branch_root(z) / z
 
-    def stieltjes_moments(self, n_max: int, points: int = 32) -> list[float]:
-        """Moments m_0..m_n_max read off z F(z) = sum_n m_n z^-n.
+    def stieltjes_moments(self, n_max: int) -> list[float]:
+        """Moments m_0..m_n_max read off z F(z) = sum_n m_n z^-n, n_max < 32.
 
-        w_k = z_k F(z_k) is taken in double precision at P = points nodes
-        z_k = R e^(2 pi i k/P), R = 2 x_star, and one FFT gives
+        w_k = z_k F(z_k) is taken in double precision at P = 32 nodes
+        (_MOMENT_NODES) z_k = R e^(2 pi i k/P), R = 2 x_star, and one FFT gives
         m_n ~ R^n (1/P) sum_k w_k e^(2 pi i k n/P).  Two errors:
 
         - aliasing, sum_{q>=1} m_{n+qP} R^-qP: as m_j <= x_star^j, at most
           x_star^n 2^-P / (1 - 2^-P); as m_{j+1}/m_j rises to x_star (the
           moments are log-convex), also at most m_n 2^-P / (1 - 2^-P),
-          2.3e-10 relative at P = 32.  The caller sets it through points.
+          2.3e-10 relative at P = 32.  The rounding check below caps the
+          accuracy at 1e-8 relative, so fewer nodes would break that
+          contract and more would buy nothing.
         - rounding: w_k is within _MARGIN (|w|^(r+1) + |z w| + |z|) / |f'(w)|
           of its exact value (the disc `_branch_root` tests; rounding z_k
           moves w_k well inside it), the FFT at most P 2^-53 max|w_k|, and
@@ -198,8 +204,9 @@ class FussCatalanDist:
           exceeds 1e-8 of some m_n (from n = 10 to 12 for r <= 5),
           DomainError is raised.
         """
+        points = _MOMENT_NODES
         if not 0 <= n_max < points:
-            raise DomainError(f"need 0 <= n_max < points, got n_max={n_max}, points={points}")
+            raise DomainError(f"need 0 <= n_max < {points}, got {n_max}")
         r, radius = self.r, 2.0 * float(x_star(self.r))
         z = radius * np.exp(2j * np.pi * np.arange(points) / points)
         w = np.array([self._branch_root(complex(zk)) for zk in z])

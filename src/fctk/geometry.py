@@ -92,15 +92,19 @@ def rho_deriv_at(r, phi, lib=math):
     return -num * sr1**r / (s1 * s1 * sr ** (r + 1))
 
 
+def _d_factor_at(r, phi, lib):
+    """Real and imaginary parts of 1 - (r sin(phi)/sin(r phi)) e^{i(r+1)phi}."""
+    s1, sr = lib.sin(phi), lib.sin(r * phi)
+    return 1 - r * s1 * lib.cos((r + 1) * phi) / sr, -r * s1 * lib.sin((r + 1) * phi) / sr
+
+
 def hess_quartic_at(r, phi, lib=math):
     """Squared modulus of 1 - (r sin(phi)/sin(r phi)) e^{i(r+1)phi}.
 
     This is the bracket raised to the -1/4 power in the oscillatory
     amplitude; it stays strictly positive on the open interval.
     """
-    s1, sr, sr1 = lib.sin(phi), lib.sin(r * phi), lib.sin((r + 1) * phi)
-    re = 1 - r * s1 * lib.cos((r + 1) * phi) / sr
-    im = r * s1 * sr1 / sr
+    re, im = _d_factor_at(r, phi, lib)
     return re * re + im * im
 
 
@@ -110,9 +114,9 @@ def g_shift_at(r, nu, phi, lib=math):
     The principal complex argument reproduces the arctan of the same
     ratio while staying continuous when its denominator vanishes.
     """
-    s1, sr, sr1 = lib.sin(phi), lib.sin(r * phi), lib.sin((r + 1) * phi)
+    re, im = _d_factor_at(r, phi, lib)
     atan2 = getattr(lib, "atan2", None) or lib.arctan2
-    arg = atan2(-r * s1 * sr1 / sr, 1 - r * s1 * lib.cos((r + 1) * phi) / sr)
+    arg = atan2(im, re)
     return -(r * phi / 2 + sum(nu) * phi) - arg / 2
 
 

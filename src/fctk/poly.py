@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,7 +43,10 @@ class ModelParams:
     def __post_init__(self):
         if not isinstance(self.r, int) or self.r < 1:
             raise DomainError(f"r must be a positive integer, got {self.r!r}")
-        nu = tuple(int(v) for v in self.nu)
+        try:
+            nu = tuple(operator.index(v) for v in self.nu)
+        except TypeError:
+            raise DomainError(f"offsets nu must be integers, got {self.nu!r}") from None
         object.__setattr__(self, "nu", nu)
         if len(nu) != self.r:
             raise DomainError(f"nu must have length r={self.r}, got {nu}")
@@ -206,9 +210,13 @@ def eval_exact(poly: ExactPolynomial, x) -> Fraction:
     """Exact value at a rational x = N/D, with one reduction at the end.
 
     Horner over the integers gives sum_k A_k N^k D^(n-k), so the value is
-    that integer over L D^n; no rounding anywhere.
+    that integer over L D^n; no rounding anywhere.  A point with no
+    finite rational form (nan, inf) raises DomainError.
     """
-    x = Fraction(x)
+    try:
+        x = Fraction(x)
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"evaluation point must be a finite rational, got {x!r}") from exc
     ints, lcm = poly.integer_form
     acc, den_pow = _horner(ints, x.numerator, x.denominator)
     return Fraction(acc, lcm * den_pow)

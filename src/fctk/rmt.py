@@ -10,8 +10,6 @@ condition number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import rng
@@ -23,27 +21,11 @@ from .zeros import EmpiricalMeasure
 _STREAMS_PER_FACTOR = 2
 
 
-@dataclass(frozen=True)
-class SpectrumSample:
-    """Squared singular values of one product draw, divided by n^r, sorted."""
-
-    params: ModelParams
-    values: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-
-def sample_spectrum(
-    params: ModelParams, seed: int, scale: float = 1.0, trial: int = 0
-) -> SpectrumSample:
-    """One draw of the n rescaled squared singular values.
+def sample_spectrum(params: ModelParams, seed: int, trial: int = 0) -> np.ndarray:
+    """One draw of the n squared singular values divided by n^r, sorted.
 
     Draw `trial` of `seed` takes its Gaussians from the streams
     rng.stream_id(trial, i), so draws of one seed never share a stream.
-    scale multiplies every matrix entry (spectra transform as
-    |scale|^(2r)); it exists for the covariance check and defaults to 1.
     """
     if params.n < 1:
         raise DomainError("need n >= 1 to draw a spectrum")
@@ -53,15 +35,12 @@ def sample_spectrum(
         x = rng.complex_gaussians(
             seed, (dims[j], dims[j - 1]), stream=rng.stream_id(trial, _STREAMS_PER_FACTOR * j)
         )
-        if scale != 1.0:
-            x = scale * x
         y = x if y is None else x @ y
     try:
         singular = np.linalg.svd(y, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(f"SVD failed for seed {seed} trial {trial}: {exc}") from exc
-    values = np.sort(singular * singular) / float(params.n) ** params.r
-    return SpectrumSample(params=params, values=values, seed=seed)
+    return np.sort(singular * singular) / float(params.n) ** params.r
 
 
 def aggregate_measure(params: ModelParams, trials: int, seed: int) -> EmpiricalMeasure:
@@ -69,7 +48,7 @@ def aggregate_measure(params: ModelParams, trials: int, seed: int) -> EmpiricalM
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     pooled = np.concatenate(
-        [sample_spectrum(params, seed, trial=t).values for t in range(trials)]
+        [sample_spectrum(params, seed, trial=t) for t in range(trials)]
     )
     return EmpiricalMeasure(tuple(np.sort(pooled)))
 

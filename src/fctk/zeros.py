@@ -16,12 +16,13 @@ lo / 2^shift and hi / 2^shift from the certificate to the refinement;
 only the returned ZeroEnclosure holds Fractions.
 
 Certificate.  The oscillatory formula puts one zero of F_n(n^r x)
-between consecutive extrema of its cosine approximant
-(asymptotics.zero_hints).  Given such separators, the isolator takes
-the signs at 0, at every separator and at the root bound 2^F; n strict
-sign changes of a degree-n polynomial prove exactly one simple root in
-each of those n gaps, so no square-free test and no Descartes count is
-needed.
+between consecutive extrema of its cosine approximant.  The hints of
+isolate_zeros (asymptotics.zero_hints) are 2n - 1 increasing floats:
+zero estimates at the even positions and such separators at the odd
+ones.  The isolator takes the signs at 0, at every separator, rounded
+to a short dyadic, and at the root bound 2^F; n strict sign changes of
+a degree-n polynomial prove exactly one simple root in each of those n
+gaps, so no square-free test and no Descartes count is needed.
 
 Fallback.  A zero sign, a separator that is not finite or not
 increasing, or fewer than n sign changes (offsets large against n move
@@ -41,8 +42,8 @@ miss.  The secant runs on the approximate values, which may pick
 another cell than the exact ones would; that costs evaluations, never
 a certificate.  A secant on a cell 2^-b as wide as the starting
 bracket is accurate to about 2^-b of that cell, so m is capped at the
-bits b gained so far, minus one.  Zero estimates (asymptotics.zero_hints,
-where the cosine approximant vanishes) pick only the first cell, among
+bits b gained so far, minus one.  Zero estimates (the even hints, where
+the cosine approximant vanishes) pick only the first cell, among
 2^6; no value is taken at an estimate, and a bad one costs evaluations,
 never a certificate.  The bracket sequence does not depend on the tolerance,
 which only decides where it stops.
@@ -60,7 +61,6 @@ import numpy as np
 from .asymptotics import zero_hints
 from .errors import DomainError, IsolationFailure, NotSquareFree
 from .fuss_catalan import FussCatalanDist
-from .geometry import x_star
 from .poly import ExactPolynomial, ModelParams, build_f, eval_bounded, rescale_arg
 
 DEFAULT_TOL = Fraction(1, 10**12)
@@ -144,44 +144,49 @@ def _count01(a: list[int]) -> int:
     return _sign_variations(_taylor_shift1(a[::-1]))
 
 
-def _isolate01(a: list[int]):
-    """Isolate roots of a in (0,1): dyadic intervals (c, k) and exact roots."""
-    intervals: list[tuple[int, int]] = []
-    exact: list[tuple[int, int]] = []
+def _isolate01(a: list[int]) -> list[tuple[int, int, bool]]:
+    """Isolate the roots of a in (0, 1), in increasing order.
+
+    Returns cells (c, k, exact): the open interval (c, c + 1) / 2^k holds
+    exactly one simple root, or, when exact, c / 2^k is a root.  Each node
+    is walked as its left child, its midpoint, then its right child.
+    """
     v0 = _count01(a)
     if v0 == 0:
-        return intervals, exact
+        return []
     if v0 == 1:
-        return [(0, 0)], exact
-    stack = [(0, 0, a, v0)]
+        return [(0, 0, False)]
+    cells: list[tuple[int, int, bool]] = []
+    # a pending cell (c, k, exact), or a node (c, k, q, v) still to split
+    stack: list[tuple] = [(0, 0, a, v0)]
     while stack:
-        c, k, q, v = stack.pop()
+        item = stack.pop()
+        if len(item) == 3:
+            cells.append(item)
+            continue
+        c, k, q, v = item
         left = _strip_content2(_scale_half(q))
         vl = _count01(left)
-        if vl == 1:
-            intervals.append((2 * c, k + 1))
-        elif vl > 1:
-            stack.append((2 * c, k + 1, left, vl))
-        if vl == v:
-            # subadditivity: the midpoint and right half hold no roots
-            continue
-        right = _taylor_shift1(left)
-        if right[0] == 0:
-            exact.append((2 * c + 1, k + 1))
-            zeros = 0
-            while right[0] == 0:
+        parts: list[tuple] = []
+        if vl:
+            parts.append((2 * c, k + 1, False) if vl == 1 else (2 * c, k + 1, left, vl))
+        # subadditivity: when vl == v the midpoint and right half hold no roots
+        if vl != v:
+            right = _taylor_shift1(left)
+            if right[0] == 0:
+                if right[1] == 0:
+                    raise NotSquareFree(
+                        f"dyadic point {(2 * c + 1)}/2^{k + 1} is a multiple root"
+                    )
+                parts.append((2 * c + 1, k + 1, True))
                 right.pop(0)
-                zeros += 1
-            if zeros > 1:
-                raise NotSquareFree(
-                    f"dyadic point {(2 * c + 1)}/2^{k + 1} is a multiple root"
+            vr = _count01(right)
+            if vr:
+                parts.append(
+                    (2 * c + 1, k + 1, False) if vr == 1 else (2 * c + 1, k + 1, right, vr)
                 )
-        vr = _count01(right)
-        if vr == 1:
-            intervals.append((2 * c + 1, k + 1))
-        elif vr > 1:
-            stack.append((2 * c + 1, k + 1, right, vr))
-    return intervals, exact
+        stack.extend(reversed(parts))
+    return cells
 
 
 def _gcd_degree_mod_p(a: list[int], b: list[int], p: int) -> int:
@@ -253,7 +258,7 @@ def _first_width(degree: int) -> int:
     A pass certifies a sign once its width exceeds the cancellation of
     the value against its largest term by about log2(4 (n + 1)) bits.
     That cancellation grows about linearly in n; over every sign of
-    isolate_zeros with separators and estimates at tol 1e-12 (nu = 0),
+    isolate_zeros with the hints of zero_hints at tol 1e-12 (nu = 0),
     median / max: 168/265 bits at r = 1 n = 100, 106/482 at r = 3
     n = 100, 383/1978 at r = 3 n = 400.  This width falls short for 25 %,
     0.5 % and 36 % of those signs, but each root keeps the width that
@@ -293,13 +298,23 @@ def _seeded_brackets(poly: ExactPolynomial, widths: dict, separators, fujiwara: 
     Returns ((lo, hi, shift), ((v, g) at lo, (v, g) at hi)) per gap with
     a strict sign change, or None unless exactly n gaps change sign: n
     sign changes of a degree-n polynomial prove one simple root in each
-    of those gaps and none elsewhere.  A double separator is exactly
-    num / 2^shift (float.as_integer_ratio), and each bracket puts its
-    ends on the larger of their two shifts.
+    of those gaps and none elsewhere.  Each double separator is first
+    rounded to a multiple of a power of two at most 1/8 of the gaps
+    beside it: it moves by 1/16 of a gap at most, and the signs at it and
+    at the refinement's grid points, whose cost grows with their bit
+    length, stay cheap.  A rounded separator is exactly num / 2^shift
+    (float.as_integer_ratio), and each bracket puts its ends on the
+    larger of their two shifts.
     """
     n = poly.degree
+    gaps = np.diff(separators, prepend=0.0)
+    near = np.minimum(gaps, np.append(gaps[1:], np.inf))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a gap <= 0 or a separator that is not finite yields nan: no certificate
+        step = np.exp2(np.floor(np.log2(near / 8)))
+        rounded = np.round(separators / step) * step
     points = [(0, 0)]
-    for s in separators:
+    for s in rounded:
         s = float(s)
         if not math.isfinite(s):
             return None
@@ -323,23 +338,21 @@ def _descartes_brackets(a: list[int], fujiwara: int) -> list[tuple[int, int, int
     """Isolating brackets (lo, hi, shift) by Descartes bisection, in order.
 
     The ends are lo / 2^shift and hi / 2^shift, and lo == hi is an exact
-    root.  The brackets are sorted by the pair (lo, hi) on a common
-    shift, so an exact root comes before a bracket that starts at it.
+    root.  The segments are swept left to right and each one's cells come
+    in order (_isolate01), so an exact root comes before a bracket that
+    starts at it.
     """
     n = len(a) - 1
     brackets: list[tuple[int, int, int]] = []
 
-    def emit(base: int, span: int, ivs, exacts):
+    def emit(base: int, span: int, cells):
         # the cell (c, k) of the segment (base, base + span) is
         # base + span (c, c + 1) / 2^k
-        for c, k in ivs:
+        for c, k, exact in cells:
             lo = (base << k) + c * span
-            brackets.append((lo, lo + span, k))
-        for c, k in exacts:
-            lo = (base << k) + c * span
-            brackets.append((lo, lo, k))
+            brackets.append((lo, lo if exact else lo + span, k))
 
-    emit(0, 1, *_isolate01(a))
+    emit(0, 1, _isolate01(a))
     j = 0
     while len(brackets) < n and j <= fujiwara:
         base = 1 << j
@@ -349,10 +362,8 @@ def _descartes_brackets(a: list[int], fujiwara: int) -> list[tuple[int, int, int
             brackets.append((base, base, 0))
             while seg[0] == 0:
                 seg.pop(0)
-        emit(base, base, *_isolate01(_strip_content2(seg)))
+        emit(base, base, _isolate01(_strip_content2(seg)))
         j += 1
-    shift = max((k for _, _, k in brackets), default=0)
-    brackets.sort(key=lambda b: (b[0] << (shift - b[2]), b[1] << (shift - b[2])))
     return brackets
 
 
@@ -438,24 +449,22 @@ def _refine(
             if j == (1 << m):
                 j -= 1  # the cell [N - 1, N] ends at the known upper end
             x0 = lo_f + j * cell
-            v0, g0 = (v_lo, g_lo) if j == 0 else _value(poly, widths, x0, shift)
+            v0, g0 = (v_lo, g_lo) if x0 == lo_f else _value(poly, widths, x0, shift)
             if v0 == 0:
                 return _exact_root(x0, shift)
-            if (v0 > 0) == pos_lo:
-                # the root lies right of x0: test the cell [x0, x0 + cell]
-                x1 = x0 + cell
-                v1, g1 = (v_hi, g_hi) if x1 == hi_f else _value(poly, widths, x1, shift)
-                if v1 == 0:
-                    return _exact_root(x1, shift)
-                ok = (v1 > 0) != pos_lo
+            # test the cell on the root's side of x0, reusing an end's value
+            x1 = x0 + cell if (v0 > 0) == pos_lo else x0 - cell
+            if x1 == lo_f:
+                v1, g1 = v_lo, g_lo
+            elif x1 == hi_f:
+                v1, g1 = v_hi, g_hi
             else:
-                # the root lies left of x0: test the cell [x0 - cell, x0]
-                x0, x1, v1, g1 = x0 - cell, x0, v0, g0
-                v0, g0 = (v_lo, g_lo) if x0 == lo_f else _value(poly, widths, x0, shift)
-                if v0 == 0:
-                    return _exact_root(x0, shift)
-                ok = (v0 > 0) == pos_lo
-            if ok:
+                v1, g1 = _value(poly, widths, x1, shift)
+            if v1 == 0:
+                return _exact_root(x1, shift)
+            if (v0 > 0) != (v1 > 0):
+                if x1 < x0:
+                    x0, x1, v0, g0, v1, g1 = x1, x0, v1, g1, v0, g0
                 lo_n, hi_n, s = x0, x1, shift
                 v_lo, g_lo, v_hi, g_hi = v0, g0, v1, g1
                 gained += m
@@ -475,34 +484,40 @@ def _refine(
     return ZeroEnclosure(Fraction(lo_n, 1 << s), Fraction(hi_n, 1 << s))
 
 
-def isolate_zeros(
-    poly: ExactPolynomial, tol=DEFAULT_TOL, *, separators=None, estimates=None
-) -> list[ZeroEnclosure]:
+def isolate_zeros(poly: ExactPolynomial, tol=DEFAULT_TOL, *, hints=None) -> list[ZeroEnclosure]:
     """Disjoint enclosures of all positive roots, exactly degree many.
 
-    With `separators` (increasing points expected to split the roots one
-    per gap, such as those of asymptotics.zero_hints) the certified signs
-    at 0, the separators and the root bound 2^F prove the roots when they
-    change sign n times; otherwise, or without separators, Descartes
-    bisection isolates them.  `estimates`, n floats such as the zero
-    estimates of asymptotics.zero_hints, hint at the roots in increasing
-    order and only choose where the refinement of each bracket starts
-    (_refine): an entry that is not finite or lies outside its bracket is
-    ignored, and no estimate decides anything.  Raises DomainError when
-    there are not n estimates, NotSquareFree when the polynomial shares
-    a factor with its derivative, IsolationFailure when the positive-root
-    count differs from the degree (both contradict the expected
-    simple-positive-root structure and must stop the caller, never be
-    absorbed silently).
+    `hints`, such as asymptotics.zero_hints, are 2n - 1 increasing floats
+    for a degree-n polynomial, one expected near each root at the even
+    positions and one between consecutive roots at the odd positions.
+    The odd ones are separators: when the certified signs at 0, at the
+    separators and at the root bound 2^F change sign n times, they prove
+    the roots (_seeded_brackets); otherwise, or without hints, Descartes
+    bisection isolates them.  The even ones are zero estimates, which
+    only choose where the refinement of each bracket starts (_refine):
+    an entry that is not finite or lies outside its bracket is ignored,
+    and no hint decides anything.  Raises DomainError when tol is not a
+    positive finite rational or when there are not 2n - 1 hints,
+    NotSquareFree when the polynomial shares a factor with its
+    derivative, IsolationFailure when the positive-root count differs
+    from the degree (both contradict the expected simple-positive-root
+    structure and must stop the caller, never be absorbed silently).
     """
-    tol = Fraction(tol)
+    try:
+        tol = Fraction(tol)
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"tol must be a finite rational, got {tol!r}") from exc
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
     n = poly.degree
-    if estimates is None:
-        estimates = [None] * n
-    elif len(estimates) != n:
-        raise DomainError(f"need {n} zero estimates, got {len(estimates)}")
+    if hints is None:
+        separators, estimates = None, [None] * n
+    else:
+        hints = np.asarray(hints, dtype=float)
+        count = max(2 * n - 1, 0)
+        if hints.shape != (count,):
+            raise DomainError(f"need {count} hints for degree {n}, got shape {hints.shape}")
+        separators, estimates = hints[1::2], hints[0::2]
     if n == 0:
         return []
     a = list(poly.integer_form[0])
@@ -539,8 +554,7 @@ def isolate_zeros(
 def rescaled_zeros(params: ModelParams, tol=DEFAULT_TOL) -> list[ZeroEnclosure]:
     """Enclosures of the zeros of F_n(n^r x), with the hints of zero_hints."""
     rescaled = rescale_arg(build_f(params), params)
-    separators, estimates = zero_hints(params)
-    return isolate_zeros(rescaled, tol, separators=separators, estimates=estimates)
+    return isolate_zeros(rescaled, tol, hints=zero_hints(params))
 
 
 def rescaled_zero_measure(params: ModelParams, tol=DEFAULT_TOL) -> EmpiricalMeasure:
@@ -556,14 +570,3 @@ def ks_distance(m: EmpiricalMeasure, d: FussCatalanDist) -> float:
     below = np.arange(m.n) / m.n
     above = np.arange(1, m.n + 1) / m.n
     return float(max(np.abs(above - c).max(), np.abs(below - c).max()))
-
-
-def local_zero_count(params: ModelParams, eps1: float, eps2: float, tol=DEFAULT_TOL):
-    """Observed roots of F_n(n^r x) in (eps1, eps2) against n (cdf(eps2) - cdf(eps1))."""
-    xs = float(x_star(params.r))
-    if not (0.0 < eps1 < eps2 < xs):
-        raise DomainError(f"need 0 < eps1 < eps2 < {xs}")
-    measure = rescaled_zero_measure(params, tol)
-    observed = sum(1 for x in measure.points if eps1 < x < eps2)
-    lo, hi = FussCatalanDist(params.r).cdf([eps1, eps2])
-    return observed, float(params.n * (hi - lo))

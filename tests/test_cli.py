@@ -2,13 +2,18 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import fctk
 from fctk.cli import build_parser, main
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -285,3 +290,17 @@ def test_scipy_integrate_imported_on_first_use():
     proc = run_child("-m", "fctk", "fc", "moment", "--r", "2", "--k", "3", "--quadrature")
     assert proc.returncode == 0
     assert float(proc.stdout) == pytest.approx(12, rel=1e-9)
+
+
+def test_readme_command_lines_run(capsys):
+    # every `fctk ...` line of README's Command line section exits 0, and
+    # a comment that is a JSON object is the line's output, floats to 1e-12
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("fctk ")]
+    assert len(lines) >= 10
+    for line in lines:
+        command, _, comment = line.partition("#")
+        code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+        assert code == 0, (line, err)
+        if comment.strip().startswith("{"):
+            assert json.loads(out) == pytest.approx(json.loads(comment), rel=1e-12), line

@@ -199,10 +199,13 @@ def test_params_validation():
 def test_edge_inputs_raise_domain_error():
     # every argument check raises the package's typed error, which is
     # also a ValueError
+    from fctk.contour import QuadratureGrid, verify_h_max
     from fctk.errors import FctkError
+    from fctk.fuss_catalan import FussCatalanDist
+    from fctk.geometry import PhiCoordinate
     from fctk.rmt import aggregate_measure, mean_moment, sample_spectrum
     from fctk.rng import stream_id
-    from fctk.zeros import EmpiricalMeasure, isolate_zeros, local_zero_count
+    from fctk.zeros import EmpiricalMeasure, isolate_zeros
 
     p = build_f(ModelParams(1, (0,), 3))
     calls = (
@@ -214,7 +217,14 @@ def test_edge_inputs_raise_domain_error():
         lambda: ExactPolynomial((1, 0)),
         lambda: isolate_zeros(p, 0),
         lambda: isolate_zeros(p, Fraction(-1, 2)),
-        lambda: local_zero_count(ModelParams(1, (0,), 3), 0.5, 0.25),
+        lambda: isolate_zeros(p, math.nan),
+        lambda: isolate_zeros(p, math.inf),
+        lambda: eval_exact(p, math.nan),
+        lambda: eval_exact(p, math.inf),
+        lambda: ModelParams(1, (1.7,), 2),
+        lambda: QuadratureGrid(2, 64.5),
+        lambda: verify_h_max(PhiCoordinate(2, 0.4), 64.5),
+        lambda: FussCatalanDist(2).density_x(math.nan),
         lambda: sample_spectrum(ModelParams(1, (0,), 0), seed=1),
         lambda: aggregate_measure(ModelParams(1, (0,), 5), trials=0, seed=1),
         lambda: mean_moment(EmpiricalMeasure((1.0,)), -1),

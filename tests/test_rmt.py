@@ -26,26 +26,19 @@ def test_normals_moments():
 def test_spectrum_shape_and_determinism():
     params = ModelParams(2, (1, 2), 30)
     s = sample_spectrum(params, seed=5)
-    assert len(s.values) == 30
-    assert (s.values >= 0).all()
-    assert np.array_equal(s.values, np.sort(s.values))
-    assert np.array_equal(s.values, sample_spectrum(params, seed=5).values)
-    assert not np.array_equal(s.values, sample_spectrum(params, seed=6).values)
+    assert len(s) == 30
+    assert (s >= 0).all()
+    assert np.array_equal(s, np.sort(s))
+    assert np.array_equal(s, sample_spectrum(params, seed=5))
+    assert not np.array_equal(s, sample_spectrum(params, seed=6))
 
 
 def test_single_entry_is_exponential():
     # r=1, nu=(0), n=1: |complex gaussian|^2 is Exp(1)
     params = ModelParams(1, (0,), 1)
-    draws = np.array([sample_spectrum(params, seed=s).values[0] for s in range(30_000)])
+    draws = np.array([sample_spectrum(params, seed=s)[0] for s in range(30_000)])
     assert abs(draws.mean() - 1.0) < 0.02
     assert (draws >= 0).all()
-
-
-def test_scale_covariance():
-    params = ModelParams(2, (0, 0), 40)
-    base = sample_spectrum(params, seed=42).values
-    doubled = sample_spectrum(params, seed=42, scale=2.0).values
-    assert np.array_equal(doubled, 2 ** (2 * params.r) * base)
 
 
 def test_aggregate_and_moments():
@@ -68,10 +61,10 @@ def test_neighbouring_seeds_share_no_spectrum():
     m8 = aggregate_measure(params, trials=50, seed=8)
     assert np.intersect1d(m7.points, m8.points).size == 0
     # trial 0 is the seed's single draw; later trials are distinct draws
-    assert np.array_equal(sample_spectrum(params, seed=8).values,
-                          sample_spectrum(params, seed=8, trial=0).values)
-    assert not np.array_equal(sample_spectrum(params, seed=7, trial=1).values,
-                              sample_spectrum(params, seed=8).values)
+    assert np.array_equal(sample_spectrum(params, seed=8),
+                          sample_spectrum(params, seed=8, trial=0))
+    assert not np.array_equal(sample_spectrum(params, seed=7, trial=1),
+                              sample_spectrum(params, seed=8))
 
 
 def test_stream_id_layout():

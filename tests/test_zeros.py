@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,6 @@ from fctk.zeros import (
     EmpiricalMeasure,
     isolate_zeros,
     ks_distance,
-    local_zero_count,
     rescaled_zero_measure,
 )
 
@@ -45,10 +45,6 @@ def check_enclosures(poly, enclosures, tol):
 
 def _rescaled(params):
     return rescale_arg(build_f(params), params)
-
-
-def _separators(params):
-    return zero_hints(params)[0]
 
 
 def test_isolate_f2_roots():
@@ -150,11 +146,11 @@ def test_refinement_contract():
     cases = ((ModelParams(1, (1,), 6), False), (ModelParams(2, (1, 2), 30), True))
     for params, seeded in cases:
         f = _rescaled(params)
-        seps, est = zero_hints(params) if seeded else (None, None)
+        hints = zero_hints(params) if seeded else None
         for k in (12, 20, 40):
             tol = Fraction(1, 2**k)
-            wide = isolate_zeros(f, tol, separators=seps, estimates=est)
-            narrow = isolate_zeros(f, tol / 2, separators=seps, estimates=est)
+            wide = isolate_zeros(f, tol, hints=hints)
+            narrow = isolate_zeros(f, tol / 2, hints=hints)
             check_enclosures(f, wide, tol)
             check_enclosures(f, narrow, tol / 2)
             for a, b in zip(wide, narrow):
@@ -175,17 +171,15 @@ def _count_fallbacks(monkeypatch):
 
 def test_separators_interleave_the_zeros():
     for params in (ModelParams(1, (0,), 30), ModelParams(3, (1, 2, 3), 40)):
-        seps, est = zero_hints(params)
-        assert len(seps) == params.n - 1
-        assert all(0 < a < b for a, b in zip(seps, seps[1:]))
+        hints = zero_hints(params)
+        assert len(hints) == 2 * params.n - 1
+        assert all(0 < a < b for a, b in zip(hints, hints[1:]))
         roots = isolate_zeros(_rescaled(params), Fraction(1, 2**30))
-        for left, sep, right in zip(roots, seps, roots[1:]):
+        # the separators, at the odd positions, split the roots one per gap
+        for left, sep, right in zip(roots, hints[1::2], roots[1:]):
             assert left.hi < sep < right.lo
-        # the zero estimates interleave with the separators
-        assert len(est) == params.n
-        assert all(a < b for a, b in zip(est, [*seps, math.inf]))
-        assert all(a < b for a, b in zip([0.0, *seps], est))
-    assert len(_separators(ModelParams(2, (0, 0), 1))) == 0
+    assert len(zero_hints(ModelParams(2, (0, 0), 1))) == 1
+    assert len(zero_hints(ModelParams(2, (0, 0), 0))) == 0
 
 
 def test_seeded_path_certifies_without_descartes(monkeypatch):
@@ -199,8 +193,7 @@ def test_seeded_path_certifies_without_descartes(monkeypatch):
         for nu in itertools.product(range(4), repeat=r):
             for n in itertools.chain(range(4, 26), (50, 100, 200)):
                 params = ModelParams(r, nu, n)
-                seps = _separators(params)
-                enc = isolate_zeros(_rescaled(params), coarse, separators=seps)
+                enc = isolate_zeros(_rescaled(params), coarse, hints=zero_hints(params))
                 assert len(enc) == n, params
 
 
@@ -208,15 +201,15 @@ def test_seeded_enclosures_are_proven():
     tol = Fraction(1, 10**12)
     for params in (ModelParams(1, (0,), 40), ModelParams(3, (3, 0, 2), 25)):
         f = _rescaled(params)
-        check_enclosures(f, isolate_zeros(f, tol, separators=_separators(params)), tol)
+        check_enclosures(f, isolate_zeros(f, tol, hints=zero_hints(params)), tol)
 
 
 def test_root_below_tol_gets_a_positive_enclosure():
     params = ModelParams(4, (0, 0, 0, 0), 19)  # smallest root about 4e-7
     f = _rescaled(params)
     tol = Fraction(1, 2**10)
-    for seps in (None, _separators(params)):
-        enc = isolate_zeros(f, tol, separators=seps)
+    for hints in (None, zero_hints(params)):
+        enc = isolate_zeros(f, tol, hints=hints)
         check_enclosures(f, enc, tol)
         assert enc[0].hi < Fraction(1, 10**6)
 
@@ -229,23 +222,26 @@ def test_fallback_when_separators_do_not_certify(monkeypatch):
         params = ModelParams(3, (5, 5, 5), n)
         f = _rescaled(params)
         before = len(calls)
-        check_enclosures(f, isolate_zeros(f, tol, separators=_separators(params)), tol)
+        check_enclosures(f, isolate_zeros(f, tol, hints=zero_hints(params)), tol)
         assert len(calls) == before + 1, n
 
 
 def test_fallback_when_a_separator_is_a_root(monkeypatch):
     calls = _count_fallbacks(monkeypatch)
-    f1 = build_f(ModelParams(2, (0, 0), 1))  # 1 - x
-    enc = isolate_zeros(f1, separators=[1.0])
+    f2 = ExactPolynomial((2, -3, 1))  # (1 - x)(2 - x)
+    enc = isolate_zeros(f2, hints=[0.5, 1.0, 3.0])
     assert len(calls) == 1
-    assert enc[0].lo == enc[0].hi == 1
+    assert [(e.lo, e.hi) for e in enc] == [(1, 1), (2, 2)]
 
 
 def test_fallback_when_separators_are_not_usable(monkeypatch):
     calls = _count_fallbacks(monkeypatch)
+    # the fallback still takes the estimates, so its enclosures are proven
+    # and overlap the hint-free ones, not equal to them
     params = ModelParams(2, (1, 0), 12)
     f = _rescaled(params)
-    seps = list(_separators(params))
+    hints = zero_hints(params)
+    seps = list(hints[1::2])
     tol = Fraction(1, 2**30)
     want = isolate_zeros(f, tol)
     assert len(calls) == 1
@@ -254,10 +250,14 @@ def test_fallback_when_separators_are_not_usable(monkeypatch):
     repeated = seps[:-1] + [seps[-2]]
     not_finite = (seps[:5] + [math.nan] + seps[6:], seps[:-1] + [math.inf])
     for bad in (unsorted, repeated, *not_finite):
-        got = isolate_zeros(f, tol, separators=bad)
-        assert got == want
+        mixed = hints.copy()
+        mixed[1::2] = bad
+        got = isolate_zeros(f, tol, hints=mixed)
+        check_enclosures(f, got, tol)
+        for a, b in zip(want, got):
+            assert a.lo <= b.hi and b.lo <= a.hi
     assert len(calls) == 5
-    got = isolate_zeros(f, tol, separators=seps)
+    got = isolate_zeros(f, tol, hints=hints)
     assert len(calls) == 5
     check_enclosures(f, got, tol)
 
@@ -275,22 +275,20 @@ def test_seeded_and_descartes_agree(case):
     params = ModelParams(r, nu, n)
     f = _rescaled(params)
     tol = Fraction(1, 2**40)  # below the smallest root, about 1e-8 at r=4, n=40
-    seps, est = zero_hints(params)
     plain = isolate_zeros(f, tol)
-    seeded = isolate_zeros(f, tol, separators=seps)
-    hinted = isolate_zeros(f, tol, separators=seps, estimates=est)
-    assert len(plain) == len(seeded) == len(hinted) == n
-    for got in (seeded, hinted):
-        check_enclosures(f, got, tol)
-        for a, b in zip(plain, got):
-            assert a.lo <= b.hi and b.lo <= a.hi
+    hinted = isolate_zeros(f, tol, hints=zero_hints(params))
+    assert len(plain) == len(hinted) == n
+    check_enclosures(f, hinted, tol)
+    for a, b in zip(plain, hinted):
+        assert a.lo <= b.hi and b.lo <= a.hi
 
 
 def test_estimates_are_only_hints():
     # a bad estimate costs evaluations, never a wrong or missing enclosure
     params = ModelParams(3, (1, 2, 3), 30)
     f = _rescaled(params)
-    seps, est = zero_hints(params)
+    hints = zero_hints(params)
+    seps, est = hints[1::2], hints[0::2]
     n = params.n
     tol = Fraction(1, 2**30)
     bad = (
@@ -302,12 +300,19 @@ def test_estimates_are_only_hints():
         est + 1e6,
         est * (1 + 1e-3),
     )
-    for hints in bad:
-        for s in (seps, None):
-            check_enclosures(f, isolate_zeros(f, tol, separators=s, estimates=hints), tol)
-    for wrong in (est[1:], list(est) + [1.0], []):
+    for estimates in bad:
+        # with the separators (seeded) and with unusable ones (Descartes)
+        for s in (seps, np.full(n - 1, math.nan)):
+            mixed = np.empty(2 * n - 1)
+            mixed[0::2], mixed[1::2] = estimates, s
+            check_enclosures(f, isolate_zeros(f, tol, hints=mixed), tol)
+    for wrong in (hints[1:], list(hints) + [1.0], [], hints[:, None]):
         with pytest.raises(DomainError):
-            isolate_zeros(f, tol, separators=seps, estimates=wrong)
+            isolate_zeros(f, tol, hints=wrong)
+    # a constant takes the empty array, and no other
+    assert isolate_zeros(ExactPolynomial((3,)), tol, hints=[]) == []
+    with pytest.raises(DomainError):
+        isolate_zeros(ExactPolynomial((3,)), tol, hints=[1.0])
 
 
 def _exact_sign(f, num, shift):
@@ -337,7 +342,7 @@ def test_certified_signs_are_exact_signs(case, points):
     for num, shift in points:
         assert _certified_sign(f, widths, num, shift) == _exact_sign(f, num, shift)
     tol = Fraction(1, 2**44)
-    for e in isolate_zeros(f, tol, separators=_separators(params)):
+    for e in isolate_zeros(f, tol, hints=zero_hints(params)):
         for end in (e.lo, e.hi):
             num, den = end.as_integer_ratio()
             shift = den.bit_length() - 1
@@ -392,10 +397,9 @@ def test_estimates_cut_evaluations_per_root(monkeypatch):
     for r in (1, 2, 3):
         for nu in ((0,) * r, tuple(range(1, r + 1))):
             params = ModelParams(r, nu, n)
-            seps, est = zero_hints(params)
             f = _rescaled(params)
             calls[0] = exact[0] = 0
-            enclosures = isolate_zeros(f, tol, separators=seps, estimates=est)
+            enclosures = isolate_zeros(f, tol, hints=zero_hints(params))
             assert calls[0] <= 12 * n, (params, calls[0] / n)
             assert exact[0] == 0, params
             check_enclosures(f, enclosures, tol)
@@ -470,16 +474,3 @@ def test_ks_distance_matches_a_per_point_loop(r, points):
         c = d.cdf(x)
         reference = max(reference, abs((i + 1) / m.n - c), abs(i / m.n - c))
     assert ks_distance(m, d) == reference
-
-
-def test_local_zero_count():
-    params = ModelParams(1, (0,), 100)
-    observed, predicted = local_zero_count(params, 1.0, 3.0, Fraction(1, 10**6))
-    assert abs(observed - predicted) <= 3
-    # nearly the whole support catches nearly all zeros
-    observed, predicted = local_zero_count(params, 1e-6, 4 - 1e-9, Fraction(1, 10**6))
-    assert observed >= 97
-    # prediction is increasing in the right endpoint
-    _, p1 = local_zero_count(params, 1.0, 2.0, Fraction(1, 10**6))
-    _, p2 = local_zero_count(params, 1.0, 3.5, Fraction(1, 10**6))
-    assert p2 > p1
