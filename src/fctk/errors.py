@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check."""
+
+import operator
 
 
 class FctkError(Exception):
@@ -39,3 +41,11 @@ class DecompositionFailure(FctkError):
 
 class AsymmetryWarning(UserWarning):
     """Imaginary residual of a symmetric quadrature exceeded its bound."""
+
+
+def as_index(value, what: str) -> int:
+    """value as an int (operator.index); DomainError for a float or any non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import geometry, rng
-from .errors import BranchAmbiguity, DomainError, QuadratureFailure
+from .errors import BranchAmbiguity, DomainError, QuadratureFailure, as_index
 from .geometry import PhiCoordinate, x_star
 
 _QUAD_REL_TARGET = 1e-12
@@ -118,6 +118,7 @@ class FussCatalanDist:
 
     def moment_exact(self, n: int) -> Fraction:
         """binom(rn + n, n) / (rn + 1), exactly."""
+        n = as_index(n, "moment index")
         if n < 0:
             raise DomainError(f"moment index must be >= 0, got {n}")
         return Fraction(math.comb(self.r * n + n, n), self.r * n + 1)
@@ -143,6 +144,7 @@ class FussCatalanDist:
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         """count i.i.d. draws by inverse-CDF; deterministic given seed."""
+        count = as_index(count, "count")
         if count < 0:
             raise DomainError(f"count must be >= 0, got {count}")
         if count == 0:
@@ -205,6 +207,7 @@ class FussCatalanDist:
           DomainError is raised.
         """
         points = _MOMENT_NODES
+        n_max = as_index(n_max, "n_max")
         if not 0 <= n_max < points:
             raise DomainError(f"need 0 <= n_max < {points}, got {n_max}")
         r, radius = self.r, 2.0 * float(x_star(self.r))
@@ -227,20 +230,26 @@ class FussCatalanDist:
 
 def identity_check(r: int, n: int) -> tuple[float, Fraction]:
     """Integral of sin(pi t)^((r+1)n) / (sin(pi t/(r+1))^n sin(r pi t/(r+1))^(rn))
-    over (0, 1) against its exact value binom((r+1)n, n)."""
+    over (0, 1) against its exact value binom((r+1)n, n).
+
+    The integrand is rho(pi t/(r+1))^n, taken as one power of rho so that
+    no sine power underflows near t = 0; it rises to x_star^n there, and
+    DomainError is raised when that leaves the double range.
+    """
+    r, n = as_index(r, "r"), as_index(n, "n")
     if r < 1 or n < 0:
         raise DomainError(f"need r >= 1 and n >= 0, got r={r}, n={n}")
-    xs = float(x_star(r))
+    try:
+        top = float(x_star(r)) ** n
+    except OverflowError:
+        raise DomainError(f"x_star({r})^{n} exceeds the double range") from None
 
     def integrand(t):
         if t <= 0.0:
-            return xs**n
+            return top
         if t >= 1.0:
             return 0.0 if n else 1.0
-        return math.sin(math.pi * t) ** ((r + 1) * n) / (
-            math.sin(math.pi * t / (r + 1)) ** n
-            * math.sin(r * math.pi * t / (r + 1)) ** (r * n)
-        )
+        return geometry.rho_at(r, math.pi * t / (r + 1)) ** n
 
     lhs = _quad(integrand, 0.0, 1.0)
     rhs = Fraction(math.comb((r + 1) * n, n))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import rng
-from .errors import DecompositionFailure, DomainError
+from .errors import DecompositionFailure, DomainError, as_index
 from .poly import ModelParams
 from .zeros import EmpiricalMeasure
 
@@ -45,6 +45,7 @@ def sample_spectrum(params: ModelParams, seed: int, trial: int = 0) -> np.ndarra
 
 def aggregate_measure(params: ModelParams, trials: int, seed: int) -> EmpiricalMeasure:
     """Pool `trials` independent spectra: draws 0..trials-1 of `seed`."""
+    trials = as_index(trials, "trials")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     pooled = np.concatenate(

@@ -12,8 +12,9 @@ at the exact integer Horner, so an exact dyadic root reads 0.  A root's
 refinement starts each binade of x at the width that last certified
 there (_value).  The Descartes counts work on exact integer Taylor
 shifts.  A bracket is the integer triple (lo, hi, shift) for the ends
-lo / 2^shift and hi / 2^shift from the certificate to the refinement;
-only the returned ZeroEnclosure holds Fractions.
+lo / 2^shift and hi / 2^shift from the certificate to the refinement,
+separators and zero estimates are dyadic pairs (num, shift) (_dyadic),
+and only the returned ZeroEnclosure holds Fractions.
 
 Certificate.  The oscillatory formula puts one zero of F_n(n^r x)
 between consecutive extrema of its cosine approximant.  The hints of
@@ -33,11 +34,15 @@ interval with count one encloses exactly one simple root, and count
 subadditivity under splitting prunes the sibling when the left child
 inherits the full count.  Positive roots are swept in doubling segments (0,1), (1,2),
 (2,4), ... so the bracket never balloons to the Cauchy bound.
+Neighbouring brackets share ends, and each distinct end is signed once.
 
-Refinement.  Both paths shrink their brackets with quadratic interval
-refinement (J. Abbott, "Quadratic interval refinement for real roots",
-2006): secant steps on a grid of 2^m dyadic cells, kept only where the
-certified signs at a cell's ends differ, with a bisection step on a
+Refinement.  Both paths hand the same thing to the refinement: integer
+brackets with the certified values at their ends, each point signed
+once with one shared table of widths, of which every root refines from
+its own copy.  The refinement is quadratic interval refinement (J.
+Abbott, "Quadratic interval refinement for real roots", 2006): secant
+steps on a grid of 2^m dyadic cells, kept only where the certified
+signs at a cell's ends differ, with a bisection step on a
 miss.  The secant runs on the approximate values, which may pick
 another cell than the exact ones would; that costs evaluations, never
 a certificate.  A secant on a cell 2^-b as wide as the starting
@@ -51,6 +56,7 @@ which only decides where it stops.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -292,6 +298,14 @@ def _value(poly: ExactPolynomial, widths: dict, num: int, shift: int) -> tuple[i
     return v, g
 
 
+def _dyadic(x: float):
+    """(num, shift) with x == num / 2^shift for a finite float x, else None."""
+    if not math.isfinite(x):
+        return None
+    num, den = x.as_integer_ratio()
+    return num, den.bit_length() - 1
+
+
 def _seeded_brackets(poly: ExactPolynomial, widths: dict, separators, fujiwara: int):
     """One bracket per root from certified signs at 0, the separators and 2^F.
 
@@ -303,8 +317,8 @@ def _seeded_brackets(poly: ExactPolynomial, widths: dict, separators, fujiwara: 
     beside it: it moves by 1/16 of a gap at most, and the signs at it and
     at the refinement's grid points, whose cost grows with their bit
     length, stay cheap.  A rounded separator is exactly num / 2^shift
-    (float.as_integer_ratio), and each bracket puts its ends on the
-    larger of their two shifts.
+    (_dyadic), and each bracket puts its ends on the larger of their two
+    shifts.
     """
     n = poly.degree
     gaps = np.diff(separators, prepend=0.0)
@@ -313,15 +327,8 @@ def _seeded_brackets(poly: ExactPolynomial, widths: dict, separators, fujiwara: 
         # a gap <= 0 or a separator that is not finite yields nan: no certificate
         step = np.exp2(np.floor(np.log2(near / 8)))
         rounded = np.round(separators / step) * step
-    points = [(0, 0)]
-    for s in rounded:
-        s = float(s)
-        if not math.isfinite(s):
-            return None
-        num, den = s.as_integer_ratio()
-        points.append((num, den.bit_length() - 1))
-    points.append((1 << fujiwara, 0))
-    if any(a << t >= b << s for (a, s), (b, t) in zip(points, points[1:])):
+    points = [(0, 0), *map(_dyadic, rounded), (1 << fujiwara, 0)]
+    if None in points or any(a << t >= b << s for (a, s), (b, t) in zip(points, points[1:])):
         return None
     values = [_value(poly, widths, num, shift) for num, shift in points]
     if any(v == 0 for v, _ in values):
@@ -334,14 +341,20 @@ def _seeded_brackets(poly: ExactPolynomial, widths: dict, separators, fujiwara: 
     return brackets if len(brackets) == n else None
 
 
-def _descartes_brackets(a: list[int], fujiwara: int) -> list[tuple[int, int, int]]:
-    """Isolating brackets (lo, hi, shift) by Descartes bisection, in order.
+def _descartes_brackets(poly: ExactPolynomial, widths: dict, fujiwara: int):
+    """One bracket per root by Descartes bisection, in order, with its end values.
 
-    The ends are lo / 2^shift and hi / 2^shift, and lo == hi is an exact
-    root.  The segments are swept left to right and each one's cells come
-    in order (_isolate01), so an exact root comes before a bracket that
-    starts at it.
+    Returns ((lo, hi, shift), ((v, g) at lo, (v, g) at hi)) per root, as
+    _seeded_brackets does; the ends are lo / 2^shift and hi / 2^shift,
+    and lo == hi is an exact root, whose values are (0, 0) unsigned.
+    Raises IsolationFailure unless there are degree many.  The segments
+    are swept left to right and each one's cells come in order
+    (_isolate01), so an exact root comes before a bracket that starts at
+    it.  Neighbouring brackets share ends, so every distinct end is
+    signed once, with `widths`, keyed on the largest shift of the list;
+    that changes no value, since _value and eval_bounded reduce the point.
     """
+    a = list(poly.integer_form[0])
     n = len(a) - 1
     brackets: list[tuple[int, int, int]] = []
 
@@ -364,7 +377,15 @@ def _descartes_brackets(a: list[int], fujiwara: int) -> list[tuple[int, int, int
                 seg.pop(0)
         emit(base, base, _isolate01(_strip_content2(seg)))
         j += 1
-    return brackets
+    if len(brackets) != n:
+        raise IsolationFailure(f"found {len(brackets)} positive simple roots for degree {n}")
+    top = max(s for _, _, s in brackets)
+    sign = functools.cache(lambda num: _value(poly, widths, num, top))
+    exact = (0, 0), (0, 0)
+    return [
+        ((lo, hi, s), exact if lo == hi else (sign(lo << (top - s)), sign(hi << (top - s))))
+        for lo, hi, s in brackets
+    ]
 
 
 def _exact_root(num: int, shift: int) -> ZeroEnclosure:
@@ -373,13 +394,14 @@ def _exact_root(num: int, shift: int) -> ZeroEnclosure:
 
 
 def _refine(
-    poly: ExactPolynomial, widths: dict, bracket, tol: Fraction, end_values=None,
-    estimate=None,
+    poly: ExactPolynomial, widths: dict, bracket, ends, estimate, tol: Fraction
 ) -> ZeroEnclosure:
     """Shrink a bracket (lo, hi, shift) around one simple root below tol (QIR).
 
     The bracket's ends are lo / 2^shift and hi / 2^shift, and lo == hi is
-    an exact root, returned as it is.
+    an exact root, returned as it is.  `ends` holds the certified values
+    (v, g) at the two ends, as both bracket sources return them, and
+    `estimate` is a zero estimate (num, shift) for num / 2^shift, or None.
 
     Quadratic interval refinement: the bracket is cut into N = 2^m equal
     dyadic cells, a secant through the values at the bracket's ends picks
@@ -387,17 +409,16 @@ def _refine(
     keep it or reject it (a bisection step, m halved).  A secant through
     the ends of a cell 2^-b as wide as the starting bracket is accurate
     only to about 2^-b of that cell, so after a kept cell m doubles but
-    is capped at the bits b gained so far, minus one.  A float `estimate`
-    of the root, when finite and inside the bracket, replaces the first
-    secant: it picks the grid point nearest to it among
-    N = 2^_FIRST_CELL_BITS cells, and the sign there picks the cell on
-    its side.  No value is taken at the estimate itself.
+    is capped at the bits b gained so far, minus one.  An estimate inside
+    the bracket replaces the first secant: it picks the grid point
+    nearest to it among N = 2^_FIRST_CELL_BITS cells, ties to even, and
+    the sign there picks the cell on its side.  No value is taken at the
+    estimate itself.
 
     Every sign is certified (_value); the values only approximate, so
     the secant may pick another cell than the exact values would, which
     costs evaluations, never a certificate.  The value at each end is
-    computed once and reused; `end_values` passes them in as (v, g)
-    pairs.  `widths` is this root's own copy of the per-binade widths, so
+    reused.  `widths` is this root's own copy of the per-binade widths, so
     the bracket sequence does not depend on tol: tol only says where it
     stops, and a smaller tol refines the same brackets further.  A
     bracket at 0 is refined until it leaves 0, so the enclosure of a
@@ -412,17 +433,13 @@ def _refine(
     lo_n, hi_n, s = bracket
     if lo_n == hi_n:
         return _exact_root(lo_n, s)
-    if end_values is None:
-        end_values = _value(poly, widths, lo_n, s), _value(poly, widths, hi_n, s)
-    (v_lo, g_lo), (v_hi, g_hi) = end_values
+    (v_lo, g_lo), (v_hi, g_hi) = ends
     if v_lo:
         pos_lo = v_lo > 0
     else:
         ints = poly.integer_form[0]
         derivative = ExactPolynomial([k * c for k, c in enumerate(ints)][1:])
         pos_lo = _value(derivative, {}, lo_n, s)[0] > 0
-    if estimate is not None:
-        estimate = Fraction(estimate) if math.isfinite(estimate) else None
     m, gained = 2, 0
     tol_num, tol_den = tol.numerator, tol.denominator
     while v_lo == 0 or v_hi == 0 or lo_n == 0 or (hi_n - lo_n) * tol_den > tol_num << s:
@@ -430,11 +447,17 @@ def _refine(
             cell = hi_n - lo_n
             j = None
             if estimate is not None:
-                # the grid point nearest to the estimate, if it is inside
-                where = (estimate * (1 << s) - lo_n) / cell
-                if 0 <= where <= 1:
+                # the grid point nearest to the estimate, if it is inside:
+                # j = round(2^m off / span) on the finer of the two shifts
+                e_num, e_shift = estimate
+                t = max(s, e_shift)
+                off = (e_num << (t - e_shift)) - (lo_n << (t - s))
+                span = cell << (t - s)
+                if 0 <= off <= span:
                     m = _FIRST_CELL_BITS
-                    j = round(where * (1 << m))
+                    j, rem = divmod(off << m, span)
+                    if 2 * rem > span or (2 * rem == span and j & 1):
+                        j += 1
                 estimate = None
             if j is None:
                 # j = round(2^m v_lo / (v_lo - v_hi)), the secant's cell
@@ -517,34 +540,25 @@ def isolate_zeros(poly: ExactPolynomial, tol=DEFAULT_TOL, *, hints=None) -> list
         count = max(2 * n - 1, 0)
         if hints.shape != (count,):
             raise DomainError(f"need {count} hints for degree {n}, got shape {hints.shape}")
-        separators, estimates = hints[1::2], hints[0::2]
+        separators, estimates = hints[1::2], [_dyadic(x) for x in hints[0::2]]
     if n == 0:
         return []
-    a = list(poly.integer_form[0])
+    a = poly.integer_form[0]
     if a[0] == 0:
         raise IsolationFailure("zero constant term: x = 0 is a root, not positive")
     fujiwara = _fujiwara_exponent(a)
     widths: dict[int, tuple[int, int]] = {}
-    seeded = (
+    brackets = (
         None if separators is None
         else _seeded_brackets(poly, widths, separators, fujiwara)
     )
-    if seeded is not None:
-        return [
-            _refine(poly, dict(widths), bracket, tol, end_values, est)
-            for (bracket, end_values), est in zip(seeded, estimates)
-        ]
-
-    if not _square_free(a):
-        raise NotSquareFree("gcd with the derivative is nonconstant")
-    brackets = _descartes_brackets(a, fujiwara)
-    if len(brackets) != n:
-        raise IsolationFailure(
-            f"found {len(brackets)} positive simple roots for degree {n}"
-        )
+    if brackets is None:
+        if not _square_free(a):
+            raise NotSquareFree("gcd with the derivative is nonconstant")
+        brackets = _descartes_brackets(poly, widths, fujiwara)
     return [
-        _refine(poly, dict(widths), bracket, tol, estimate=est)
-        for bracket, est in zip(brackets, estimates)
+        _refine(poly, dict(widths), bracket, ends, estimate, tol)
+        for (bracket, ends), estimate in zip(brackets, estimates)
     ]
 
 

@@ -204,6 +204,10 @@ def test_computational_failure_is_exit_1(capsys):
     code, out, err = run_cli(capsys, "fc", "quantile", "--r", "1", "--p", "2")
     assert code == 1
     assert json.loads(err)["error"] == "DomainError"
+    # x_star(5)^300 is past the double range
+    code, out, err = run_cli(capsys, "fc", "identity", "--r", "5", "--k", "300")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "DomainError"
 
 
 def test_rmt_summary(capsys):

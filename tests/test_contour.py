@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fctk import geometry
 from fctk.asymptotics import pr_approx
 from fctk.contour import QuadratureGrid, contour_eval, msp_value, verify_h_max
-from fctk.errors import DomainError, GuardExceeded
+from fctk.errors import AsymmetryWarning, DomainError, GuardExceeded
 from fctk.geometry import PhiCoordinate, rho_at
 from fctk.poly import ModelParams, build_f, eval_exact, rescale_arg
 
@@ -135,6 +135,21 @@ def test_contour_domain_checks():
         contour_eval(params, 0.0, QuadratureGrid(2, 64))
     with pytest.raises(DomainError):
         contour_eval(params, 1.0, QuadratureGrid(1, 64))  # dimension mismatch
+
+
+class _ShiftedGrid(QuadratureGrid):
+    """Nodes moved by 0.3 of a cell: the t -> -t symmetry of the sum is lost."""
+
+    @property
+    def nodes(self):
+        return super().nodes + 0.3 * 2.0 * math.pi / self.m
+
+
+def test_asymmetry_warning():
+    params = ModelParams(2, (1, 0), 5)
+    contour_eval(params, 1.0, QuadratureGrid(2, 64))  # symmetric: no warning
+    with pytest.warns(AsymmetryWarning):
+        contour_eval(params, 1.0, _ShiftedGrid(2, 64))
 
 
 def test_msp_matches_pr_assembly():

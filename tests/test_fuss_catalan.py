@@ -239,6 +239,27 @@ def test_identity_check():
     assert rhs == 1 and abs(lhs - 1) <= 1e-9
 
 
+def test_identity_check_at_large_n():
+    # the sine powers of the integrand, taken apart, underflow near t = 0
+    # from n = 50 (r = 1), 35 (r = 2) and 27 (r = 3); one power of rho does not
+    for r in (1, 2, 3):
+        for n in (50, 100, 300):
+            lhs, rhs = identity_check(r, n)
+            assert abs(lhs - rhs) <= 1e-12 * rhs, (r, n)
+    # x_star(5)^300 is past the double range
+    with pytest.raises(DomainError):
+        identity_check(5, 300)
+
+
+def test_quadrature_failure_is_raised():
+    from fctk.errors import QuadratureFailure
+    from fctk.fuss_catalan import _quad
+
+    # 1/|t - 1/3| is not integrable; t = 1/3 is no node, 1/2 would be
+    with pytest.raises(QuadratureFailure, match="bad integrand"):
+        _quad(lambda t: 1 / abs(t - 1 / 3), 0.0, 1.0)
+
+
 def test_sampling():
     d = FussCatalanDist(2)
     s = d.sample(2000, seed=11)

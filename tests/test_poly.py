@@ -201,7 +201,7 @@ def test_edge_inputs_raise_domain_error():
     # also a ValueError
     from fctk.contour import QuadratureGrid, verify_h_max
     from fctk.errors import FctkError
-    from fctk.fuss_catalan import FussCatalanDist
+    from fctk.fuss_catalan import FussCatalanDist, identity_check
     from fctk.geometry import PhiCoordinate
     from fctk.rmt import aggregate_measure, mean_moment, sample_spectrum
     from fctk.rng import stream_id
@@ -231,6 +231,12 @@ def test_edge_inputs_raise_domain_error():
         lambda: mean_moment(EmpiricalMeasure(()), 1),
         lambda: stream_id(0, 2**32),
         lambda: stream_id(-1, 0),
+        # counts given as floats
+        lambda: FussCatalanDist(2).stieltjes_moments(3.5),
+        lambda: FussCatalanDist(2).moment_exact(2.5),
+        lambda: FussCatalanDist(2).sample(2.5, 1),
+        lambda: aggregate_measure(ModelParams(1, (0,), 5), 2.5, 1),
+        lambda: identity_check(1, 1.5),
     )
     for call in calls:
         with pytest.raises(FctkError) as exc:

@@ -266,7 +266,7 @@ def test_fallback_when_separators_are_not_usable(monkeypatch):
 @given(
     st.integers(1, 4).flatmap(
         lambda r: st.tuples(
-            st.just(r), st.tuples(*[st.integers(0, 5)] * r), st.integers(1, 40)
+            st.just(r), st.tuples(*[st.integers(0, 5)] * r), st.integers(1, 60)
         )
     )
 )
@@ -274,7 +274,7 @@ def test_seeded_and_descartes_agree(case):
     r, nu, n = case
     params = ModelParams(r, nu, n)
     f = _rescaled(params)
-    tol = Fraction(1, 2**40)  # below the smallest root, about 1e-8 at r=4, n=40
+    tol = Fraction(1, 2**40)  # below the smallest root, about 1.3e-9 at r=4, n=60
     plain = isolate_zeros(f, tol)
     hinted = isolate_zeros(f, tol, hints=zero_hints(params))
     assert len(plain) == len(hinted) == n
@@ -411,13 +411,45 @@ def test_estimates_cut_evaluations_per_root(monkeypatch):
 
 def test_capped_refinement_evaluation_count(monkeypatch):
     # the 66 small Descartes isolations of the benchmark (nu the base-4
-    # digits of n): 15 083 evaluations with m doubled blindly, 14 235 capped
+    # digits of n): 15 083 evaluations with m doubled blindly, 14 235 capped,
+    # 13 413 once each shared bracket end is signed once (1 914 ends on
+    # 1 092 points)
     calls = _count_evaluations(monkeypatch)
     for r in (1, 2, 3):
         for n in range(4, 26):
             nu = tuple((n >> (2 * j)) & 3 for j in range(r))
             isolate_zeros(_rescaled(ModelParams(r, nu, n)), Fraction(1, 10**12))
-    assert calls[0] < 15_083
+    assert calls[0] <= 13_413
+
+
+def test_descartes_ends_are_signed_once(monkeypatch):
+    # the benchmark's warm-up polynomial: 13 Descartes brackets whose 26
+    # ends fall on 15 points, each signed once, before any refinement;
+    # the refinement probes only interior points
+    f = _rescaled(ModelParams(2, (1, 1), 13))
+    signed = []
+    value = zeros._value
+
+    def spy(p, widths, num, shift):
+        if p is f:
+            signed.append(Fraction(num, 1 << shift))
+        return value(p, widths, num, shift)
+
+    brackets = []
+    descartes = zeros._descartes_brackets
+
+    def recorded(*args):
+        out = descartes(*args)
+        brackets.extend(b[0] if isinstance(b[0], tuple) else b for b in out)
+        return out
+
+    monkeypatch.setattr(zeros, "_value", spy)
+    monkeypatch.setattr(zeros, "_descartes_brackets", recorded)
+    tol = Fraction(1, 10**12)
+    check_enclosures(f, isolate_zeros(f, tol), tol)
+    ends = [Fraction(x, 1 << s) for lo, hi, s in brackets if lo < hi for x in (lo, hi)]
+    assert (len(ends), len(set(ends))) == (26, 15)
+    assert all(signed.count(x) == 1 for x in ends)
 
 
 def test_determinism():
