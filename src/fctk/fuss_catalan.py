@@ -123,10 +123,10 @@ class FussCatalanDist:
             raise DomainError(f"moment index must be >= 0, got {n}")
         return Fraction(math.comb(self.r * n + n, n), self.r * n + 1)
 
-    def moment_quadrature(self, n: int) -> float:
-        """(1/pi) integral of rho(phi)^n f'(phi) over the angle interval."""
-        if n < 0:
-            raise DomainError(f"moment index must be >= 0, got {n}")
+    def moment_quadrature(self, n: float) -> float:
+        """(1/pi) integral of rho(phi)^n f'(phi) over the angle interval, any finite n >= 0."""
+        if not 0 <= n < math.inf:
+            raise DomainError(f"moment order must be finite and >= 0, got {n}")
         r = self.r
         top = math.pi / (r + 1)
 
@@ -147,10 +147,10 @@ class FussCatalanDist:
         count = as_index(count, "count")
         if count < 0:
             raise DomainError(f"count must be >= 0, got {count}")
-        if count == 0:
-            return np.empty(0)
-        r = self.r
         u = rng.uniforms(seed, count)
+        if count == 0:
+            return u
+        r = self.r
         phi = geometry.solve_phi(r, lambda t: geometry.f_at(r, t, np), np.pi * (1.0 - u))
         return np.asarray(geometry.rho_at(r, phi, np))
 

@@ -5,7 +5,10 @@ independent complex Gaussian entries of unit variance, so the squared
 singular values of Y = X_r ... X_1 divided by n^r converge to the
 Fuss-Catalan law of order r with no extra constant.  Singular values are
 taken from an SVD of the full product; forming Y*Y would square the
-condition number.
+condition number.  Draw t of a seed takes its factors X_1, ..., X_r, in
+order, from the one stream 1 + t of that seed (see fctk.rng), so no two
+draws share a stream and the same seed and numpy version give the same
+spectra.
 """
 
 from __future__ import annotations
@@ -17,24 +20,19 @@ from .errors import DecompositionFailure, DomainError, as_index
 from .poly import ModelParams
 from .zeros import EmpiricalMeasure
 
-# stream indices inside one spectrum draw: two Gaussian streams per factor
-_STREAMS_PER_FACTOR = 2
-
 
 def sample_spectrum(params: ModelParams, seed: int, trial: int = 0) -> np.ndarray:
-    """One draw of the n squared singular values divided by n^r, sorted.
-
-    Draw `trial` of `seed` takes its Gaussians from the streams
-    rng.stream_id(trial, i), so draws of one seed never share a stream.
-    """
+    """Draw `trial` (>= 0) of `seed`: the n squared singular values divided by n^r, sorted."""
     if params.n < 1:
         raise DomainError("need n >= 1 to draw a spectrum")
+    trial = as_index(trial, "trial")
+    if trial < 0:
+        raise DomainError(f"trial must be >= 0, got {trial}")
+    gen = rng.generator(seed, 1 + trial)
     dims = [params.n] + [params.n + v for v in params.nu]
     y = None
     for j in range(1, params.r + 1):
-        x = rng.complex_gaussians(
-            seed, (dims[j], dims[j - 1]), stream=rng.stream_id(trial, _STREAMS_PER_FACTOR * j)
-        )
+        x = rng.complex_gaussians(gen, (dims[j], dims[j - 1]))
         y = x if y is None else x @ y
     try:
         singular = np.linalg.svd(y, compute_uv=False)
@@ -54,10 +52,10 @@ def aggregate_measure(params: ModelParams, trials: int, seed: int) -> EmpiricalM
     return EmpiricalMeasure(tuple(np.sort(pooled)))
 
 
-def mean_moment(m: EmpiricalMeasure, k: int) -> float:
-    """k-th raw moment of the empirical measure."""
-    if k < 0:
-        raise DomainError(f"moment order must be >= 0, got {k}")
+def mean_moment(m: EmpiricalMeasure, k: float) -> float:
+    """k-th raw moment of the empirical measure; k may be any finite order >= 0."""
+    if not 0 <= k < np.inf:
+        raise DomainError(f"moment order must be finite and >= 0, got {k}")
     if m.n == 0:
         raise DomainError("empty measure has no moments")
     pts = np.asarray(m.points)

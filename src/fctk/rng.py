@@ -1,61 +1,38 @@
 """Reproducible random streams on a counter-based generator.
 
-Streams are keyed by (seed, stream) pairs fed to a 64-bit Philox counter
-generator, so parallel draws are deterministic across platforms.  The
-two 64-bit key words are
+A stream is a 64-bit Philox generator keyed by the pair (seed, stream) of
+integers in [0, 2^64); distinct pairs are distinct keys, so runs with
+different seeds share no stream.  The package uses
 
-    word 0: seed (its low 64 bits)
-    word 1: stream = (trial << 32) | index,
+    stream 0:      the uniforms of FussCatalanDist.sample,
+    stream 1 + t:  draw t of rmt.aggregate_measure, whose factors take
+                   their Gaussians from it in order.
 
-where index (below 2^32) numbers the streams one draw consumes and
-trial (below 2^32) numbers the independent draws made under one seed
-(see stream_id).  Distinct (seed, trial, index) triples therefore never
-share a stream, so runs with neighbouring seeds share no draw.
-Uniforms come from the generator's 53-bit mantissa path; Gaussians are
-produced by an explicit Box-Muller transform on those uniforms.
+The same seed and the same numpy version give the same draws: uniforms
+come from the generator's 53-bit mantissa path and Gaussians from its
+standard_normal.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
-
-_MASK64 = (1 << 64) - 1
-_INDEX_BITS = 32
-
-
-def stream_id(trial: int, index: int) -> int:
-    """Key word 1 for stream `index` of draw `trial`: (trial << 32) | index."""
-    if not (0 <= trial < 1 << _INDEX_BITS and 0 <= index < 1 << _INDEX_BITS):
-        raise DomainError(f"trial and index must lie in [0, 2^32), got {trial}, {index}")
-    return (trial << _INDEX_BITS) | index
+from .errors import DomainError, as_index
 
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:
-    key = [np.uint64(seed & _MASK64), np.uint64(stream & _MASK64)]
-    return np.random.Generator(np.random.Philox(key=key))
+    """The Philox generator keyed by (seed, stream), both integers in [0, 2^64)."""
+    seed, stream = as_index(seed, "seed"), as_index(stream, "stream")
+    if not (0 <= seed < 1 << 64 and 0 <= stream < 1 << 64):
+        raise DomainError(f"seed and stream must lie in [0, 2^64), got {seed}, {stream}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-def uniforms(seed: int, count: int, stream: int = 0) -> np.ndarray:
-    """count uniforms in [0, 1) with 53-bit mantissas."""
-    return generator(seed, stream).random(count)
+def uniforms(seed: int, count: int) -> np.ndarray:
+    """count uniforms in [0, 1) with 53-bit mantissas, from stream 0 of seed."""
+    return generator(seed).random(count)
 
 
-def normals(seed: int, count: int, stream: int = 0) -> np.ndarray:
-    """count standard normals via Box-Muller."""
-    half = (count + 1) // 2
-    u = uniforms(seed, 2 * half, stream)
-    u1 = 1.0 - u[:half]  # shift into (0, 1] so the log is finite
-    u2 = u[half:]
-    radius = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([radius * np.cos(2 * np.pi * u2), radius * np.sin(2 * np.pi * u2)])
-    return z[:count]
-
-
-def complex_gaussians(seed: int, shape: tuple[int, ...], stream: int = 0) -> np.ndarray:
-    """Complex Gaussians with unit variance: Re, Im ~ N(0, 1/2) independent."""
-    count = int(np.prod(shape))
-    re = normals(seed, count, stream)
-    im = normals(seed, count, stream + 1)
-    return ((re + 1j * im) / np.sqrt(2.0)).reshape(shape)
+def complex_gaussians(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex Gaussians with unit variance from gen: Re, Im ~ N(0, 1/2) independent."""
+    return gen.standard_normal((*shape, 2)).view(np.complex128)[..., 0] * np.sqrt(0.5)

@@ -208,6 +208,12 @@ def test_computational_failure_is_exit_1(capsys):
     code, out, err = run_cli(capsys, "fc", "identity", "--r", "5", "--k", "300")
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == "DomainError"
+    # seeds are integers in [0, 2^64)
+    code, out, err = run_cli(
+        capsys, "rmt", "--r", "1", "--nu", "0", "--n", "5", "--trials", "1", "--seed", "-1"
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "DomainError"
 
 
 def test_rmt_summary(capsys):

@@ -180,6 +180,9 @@ def test_moment_quadrature():
     assert FussCatalanDist(1).moment_quadrature(2) == pytest.approx(2.0, rel=1e-11)
     assert FussCatalanDist(2).moment_quadrature(3) == pytest.approx(12.0, rel=1e-11)
     assert FussCatalanDist(3).moment_quadrature(0) == pytest.approx(1.0, rel=1e-12)
+    # a fractional order is a real integral: the mean singular value of the
+    # quarter-circle law, 8/(3 pi)
+    assert FussCatalanDist(1).moment_quadrature(0.5) == pytest.approx(8 / (3 * math.pi), rel=1e-10)
     for r in (1, 2, 3, 4):
         d = FussCatalanDist(r)
         for n in range(11):

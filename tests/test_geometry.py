@@ -169,6 +169,19 @@ def test_solve_trinomial():
             solve_trinomial(2, x)
 
 
+def test_trinomial_residual_check_raises(monkeypatch):
+    # companion roots moved by 0.5 keep a relative residual (about 0.019 at
+    # r=2, x=3+1j) that two Newton steps per root do not polish away
+    import numpy as np
+
+    from fctk.errors import ConvergenceFailure
+
+    roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda coeffs: roots(coeffs) + 0.5)
+    with pytest.raises(ConvergenceFailure, match="r=2"):
+        solve_trinomial(2, 3 + 1j)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 5),

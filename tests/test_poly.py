@@ -204,7 +204,7 @@ def test_edge_inputs_raise_domain_error():
     from fctk.fuss_catalan import FussCatalanDist, identity_check
     from fctk.geometry import PhiCoordinate
     from fctk.rmt import aggregate_measure, mean_moment, sample_spectrum
-    from fctk.rng import stream_id
+    from fctk.rng import generator
     from fctk.zeros import EmpiricalMeasure, isolate_zeros
 
     p = build_f(ModelParams(1, (0,), 3))
@@ -229,8 +229,24 @@ def test_edge_inputs_raise_domain_error():
         lambda: aggregate_measure(ModelParams(1, (0,), 5), trials=0, seed=1),
         lambda: mean_moment(EmpiricalMeasure((1.0,)), -1),
         lambda: mean_moment(EmpiricalMeasure(()), 1),
-        lambda: stream_id(0, 2**32),
-        lambda: stream_id(-1, 0),
+        lambda: sample_spectrum(ModelParams(1, (0,), 1), seed=1, trial=-1),
+        # seeds and streams are integers in [0, 2^64), so no two seeds alias
+        lambda: generator(-1),
+        lambda: generator(2**64),
+        lambda: generator(0, -1),
+        lambda: generator(0, 2**64),
+        lambda: FussCatalanDist(2).sample(5, -1),
+        lambda: FussCatalanDist(2).sample(0, -1),
+        lambda: FussCatalanDist(2).sample(5, 3 + 2**64),
+        lambda: FussCatalanDist(2).sample(5, 1.5),
+        lambda: sample_spectrum(ModelParams(1, (0,), 1), 1.5),
+        lambda: sample_spectrum(ModelParams(1, (0,), 1), 1, trial=0.5),
+        lambda: aggregate_measure(ModelParams(1, (0,), 1), 2, 2.5),
+        # non-finite moment orders
+        lambda: mean_moment(EmpiricalMeasure((1.0,)), math.nan),
+        lambda: mean_moment(EmpiricalMeasure((1.0,)), math.inf),
+        lambda: FussCatalanDist(2).moment_quadrature(math.nan),
+        lambda: FussCatalanDist(2).moment_quadrature(math.inf),
         # counts given as floats
         lambda: FussCatalanDist(2).stieltjes_moments(3.5),
         lambda: FussCatalanDist(2).moment_exact(2.5),

@@ -3,24 +3,29 @@ import math
 import numpy as np
 import pytest
 
+from fctk import rng
 from fctk.fuss_catalan import FussCatalanDist
 from fctk.poly import ModelParams
 from fctk.rmt import aggregate_measure, mean_moment, sample_spectrum
-from fctk.rng import normals, stream_id, uniforms
+from fctk.rng import complex_gaussians, generator, uniforms
 from fctk.zeros import EmpiricalMeasure, ks_distance
 
 
 def test_uniform_stream_determinism():
     a = uniforms(42, 1000)
     assert np.array_equal(a, uniforms(42, 1000))
-    assert not np.array_equal(a, uniforms(42, 1000, stream=1))
+    assert not np.array_equal(a, generator(42, 1).random(1000))
+    # the top seeds are keys of their own, not rounded through a float
+    assert not np.array_equal(uniforms(2**64 - 1, 10), uniforms(2**64 - 2, 10))
     assert ((a >= 0) & (a < 1)).all()
 
 
-def test_normals_moments():
-    z = normals(7, 200_000)
+def test_complex_gaussian_moments():
+    z = complex_gaussians(generator(7), (200_000,))
+    assert z.shape == (200_000,)
     assert abs(z.mean()) < 0.01
-    assert abs(z.std() - 1) < 0.01
+    assert abs(np.mean(np.abs(z) ** 2) - 1) < 0.01
+    assert abs(np.mean(z**2)) < 0.01
 
 
 def test_spectrum_shape_and_determinism():
@@ -67,13 +72,34 @@ def test_neighbouring_seeds_share_no_spectrum():
                               sample_spectrum(params, seed=8))
 
 
-def test_stream_id_layout():
-    assert stream_id(0, 5) == 5
-    assert stream_id(3, 2) == (3 << 32) | 2
-    with pytest.raises(ValueError):
-        stream_id(0, 2**32)
-    with pytest.raises(ValueError):
-        stream_id(-1, 0)
+def test_draw_t_is_stream_1_plus_t():
+    # r=1, nu=(0), n=1: the spectrum is |X_11|^2, the first Gaussian of the stream
+    params = ModelParams(1, (0,), 1)
+    for seed, trial in ((0, 0), (7, 0), (7, 3), (2**64 - 1, 41)):
+        z = complex_gaussians(generator(seed, 1 + trial), (1, 1))[0, 0]
+        got = sample_spectrum(params, seed, trial=trial)[0]
+        assert got == pytest.approx(abs(z) ** 2, rel=1e-15)
+
+
+def test_streams_never_overlap(monkeypatch):
+    # every (seed, stream) key that sampling and simulation open is distinct,
+    # and each RMT draw opens exactly one
+    keys = []
+    real = rng.generator
+
+    def spy(seed, stream=0):
+        keys.append((seed, stream))
+        return real(seed, stream)
+
+    monkeypatch.setattr(rng, "generator", spy)
+    trials = 4
+    for seed in (7, 8):
+        FussCatalanDist(2).sample(10, seed)
+        opened = len(keys)
+        aggregate_measure(ModelParams(2, (0, 0), 5), trials, seed)
+        assert len(keys) - opened == trials
+    assert len(keys) == 2 * (1 + trials)
+    assert len(set(keys)) == len(keys)
 
 
 def test_ks_improvement():
@@ -110,6 +136,7 @@ def test_decomposition_failure_records_seed(monkeypatch):
 
 
 def test_mean_moment_validation():
+    assert mean_moment(EmpiricalMeasure((4.0,)), 0.5) == 2.0
     with pytest.raises(ValueError):
         mean_moment(EmpiricalMeasure(()), 1)
     with pytest.raises(ValueError):
