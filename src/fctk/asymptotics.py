@@ -17,7 +17,12 @@ the log prefactor predicts.
 Every big-float assembly (here and in contour.msp_value) runs at the one
 precision of _working_prec, 140 + bitlen(n) + bitlen(r + sum(nu)) bits:
 an mpf's exponent is unbounded, so the precision needs to cover only the
-logarithms of the magnitudes, not the magnitudes themselves.
+logarithms of the magnitudes, not the magnitudes themselves.  The point
+rho(phi), the log prefactor and the phase read only sin phi, cos phi,
+sin r phi, sin (r+1) phi and cos (r+1) phi; each assembly evaluates
+these once at that precision (_sines, two of them per mp.cos_sin) and
+feeds them to geometry's forms over given sines, so a fig1 row
+(normalized_poly and cosine_approximant) costs 11 trigonometric values.
 """
 
 from __future__ import annotations
@@ -64,23 +69,39 @@ def _match(params: ModelParams, c: PhiCoordinate):
         raise DomainError(f"params.r={params.r} does not match coordinate r={c.r}")
 
 
-def _log_prefactor(params: ModelParams, phi):
-    """log of the positive part of the amplitude at the current mp precision."""
+def _sines(r: int, phi):
+    """sin phi, cos phi, sin r phi, sin (r+1) phi, cos (r+1) phi at the current mp precision.
+
+    Every formula of the assembly reads only these five values; each
+    shared angle takes one mp.cos_sin.
+    """
+    c1, s1 = mp.cos_sin(phi)
+    cr1, sr1 = mp.cos_sin((r + 1) * phi)
+    return s1, c1, mp.sin(r * phi), sr1, cr1
+
+
+def _log_prefactor(params: ModelParams, sines):
+    """log of the positive part of the amplitude, from _sines at the current mp precision."""
     r, n, snu = params.r, params.n, params.nu_sum
-    s1, sr, sr1 = mp.sin(phi), mp.sin(r * phi), mp.sin((r + 1) * phi)
+    s1, c1, sr, sr1, cr1 = sines
     return (
         mp.log(2)
         - r * mp.log(2 * mp.pi) / 2
-        + (mp.mpf(r) / 2 + snu) * (mp.log(sr) - mp.log(n) - mp.log(sr1))
-        + n * r * (sr1 / sr) * mp.cos(phi)
-        + n * (mp.log(sr) - mp.log(s1))
-        - mp.log(geometry.hess_quartic_at(r, phi, mp)) / 4
+        + (mp.mpf(r) / 2 + snu) * mp.log(sr / (n * sr1))
+        + n * r * geometry._saddle_modulus(sr, sr1) * c1
+        + n * mp.log(sr / s1)
+        - mp.log(geometry._hess_quartic(r, s1, sr, sr1, cr1)) / 4
     )
 
 
-def _cos_argument(params: ModelParams, phi):
+def _cos_argument(params: ModelParams, phi, sines):
+    """The phase g - n f, from _sines at the current mp precision."""
     r, n = params.r, params.n
-    return geometry.g_shift_at(r, params.nu, phi, mp) - n * geometry.f_at(r, phi, mp)
+    s1, _, sr, sr1, cr1 = sines
+    return (
+        geometry._g_shift(r, params.nu, phi, s1, sr, sr1, cr1, mp)
+        - n * geometry._f(r, phi, s1, sr, sr1)
+    )
 
 
 def _working_prec(params: ModelParams) -> int:
@@ -88,22 +109,28 @@ def _working_prec(params: ModelParams) -> int:
 
     The assembly needs lm = _log_prefactor and the phase n f - g to
     2^-64 absolute, since e^lm and cos(n f - g) then come out to about
-    2^-64 relative and absolute.  Each is a sum of a few terms, each
-    computed to a few units of 2^-prec relative, so prec must exceed 64
-    plus log2 of the largest term T.  For a double phi in the open
-    interval, sin(phi) and sin(r phi) lie in [2 phi / pi, 1], above
-    2^-1075, and so does sin((r+1) phi) unless phi is within 2^-1075 of
-    pi/(r+1); the quartic bracket of _log_prefactor is about
-    ((r+1) phi)^2 at phi -> 0 and tends to (r+1)^2 at the top.  Every
-    logarithm is thus at most about 746 in modulus, and with s = r + sum(nu)
+    2^-64 relative and absolute.  Each is a sum of a few terms.  A term
+    is a product of at most a few roundings, or a multiplier times the
+    logarithm of such a product, whose rounding becomes a few units of
+    2^-prec absolute in the logarithm; either way a term errs by a few
+    units of 2^-prec times T, the largest term or multiplier, so prec
+    must exceed 64 plus log2 T.  For a double phi in the open interval,
+    sin(phi) and sin(r phi) lie in [2 phi / pi, 1], above 2^-1075, and
+    so does sin((r+1) phi) unless phi is within 2^-1075 of pi/(r+1).
+    The saddle modulus a(phi) = sin((r+1) phi)/sin(r phi) is at most
+    (r+1)/r, and sin(r phi)/sin(phi) lies in [1, r].  With
+    s = r + sum(nu) this gives
 
-        |(r/2 + sum(nu)) ln(sin r phi / (n sin (r+1) phi))| <= s (ln n + 1492),
-        |n r a(phi) cos phi|, |n ln(sin r phi / sin phi)|  <= n (r + 1),
-        |n f(phi)| <= n pi,  |g| <= 2 (s + 1),  the rest   <= 374 + 2 r,
+        |(r/2 + sum(nu)) ln(sin r phi / (n sin (r+1) phi))| <= s (ln n + 746),
+        |n r a(phi) cos phi| <= n (r + 1),  |n ln(sin r phi / sin phi)| <= n ln r,
+        |n f(phi)| <= n pi,  |g| <= 2 (s + 1),
 
-    so T < 2^(bitlen(n) + bitlen(s) + 11).  The rule leaves more than
-    128 bits below T: 64 for the accuracy asked and 64 spare, which also
-    cover a logarithm up to 2^60 times larger than assumed.
+    and the rest, ln 2 - (r/2) ln(2 pi) - ln(q)/4 with the quartic
+    bracket q about ((r+1) phi)^2 at phi -> 0 and (r+1)^2 at the top,
+    is at most 374 + 2 r in modulus.  So T < 2^(bitlen(n) + bitlen(s) + 11),
+    and the rule leaves more than 128 bits below T: 64 for the accuracy
+    asked and 64 spare, which also cover a logarithm up to 2^60 times
+    larger than assumed.
     contour.msp_value assembles the same magnitudes (exp(-n p) with
     |n p| <= n (r + 1 + ln r + pi) and powers of the same sines), so the
     same precision serves it.
@@ -115,7 +142,8 @@ def cosine_approximant(params: ModelParams, c: PhiCoordinate) -> float:
     """cos(g(r, nu, phi) - n f(phi)), in [-1, 1]."""
     _match(params, c)
     with mp.workprec(_working_prec(params)):
-        return float(mp.cos(_cos_argument(params, mp.mpf(c.phi))))
+        phi = mp.mpf(c.phi)
+        return float(mp.cos(_cos_argument(params, phi, _sines(params.r, phi))))
 
 
 def zero_hints(params: ModelParams) -> np.ndarray:
@@ -134,11 +162,14 @@ def zero_hints(params: ModelParams) -> np.ndarray:
     certified signs.
     """
     r, n, nu = params.r, params.n, params.nu
-    phi = geometry.solve_phi(
-        r,
-        lambda t: n * geometry.f_at(r, t, np) - geometry.g_shift_at(r, nu, t, np),
-        np.pi / 2 * np.arange(1, 2 * n),
-    )
+
+    def phase(t):
+        s1, sr, sr1, cr1 = geometry._d_sines(r, t, np)
+        return n * geometry._f(r, t, s1, sr, sr1) - geometry._g_shift(
+            r, nu, t, s1, sr, sr1, cr1, np
+        )
+
+    phi = geometry.solve_phi(r, phase, np.pi / 2 * np.arange(1, 2 * n))
     return geometry.rho_at(r, phi, np)[::-1]
 
 
@@ -153,7 +184,7 @@ def pr_prefactor_log(params: ModelParams, c: PhiCoordinate) -> PRValue:
     if params.n < 1:
         raise DomainError("prefactor requires degree n >= 1")
     with mp.workprec(_working_prec(params)):
-        lm = _log_prefactor(params, mp.mpf(c.phi))
+        lm = _log_prefactor(params, _sines(params.r, mp.mpf(c.phi)))
     return PRValue(log_magnitude=float(lm), sign_parity=params.n % 2)
 
 
@@ -164,9 +195,10 @@ def pr_approx(params: ModelParams, c: PhiCoordinate) -> PRValue:
         raise DomainError("approximation requires degree n >= 1")
     with mp.workprec(_working_prec(params)):
         phi = mp.mpf(c.phi)
-        lm = _log_prefactor(params, phi)
-        osc = mp.cos(_cos_argument(params, phi))
-        assembled = (-1) ** params.n * mp.e**lm * osc
+        sines = _sines(params.r, phi)
+        lm = _log_prefactor(params, sines)
+        osc = mp.cos(_cos_argument(params, phi, sines))
+        assembled = (-1) ** params.n * mp.exp(lm) * osc
     return PRValue(
         log_magnitude=float(lm),
         sign_parity=params.n % 2,
@@ -211,12 +243,13 @@ def normalized_poly(params: ModelParams, c: PhiCoordinate) -> float:
     rescaled = _rescaled_f(params)
     lcm = rescaled.integer_form[1]
     with mp.workprec(_working_prec(params)):
-        phi = mp.mpf(c.phi)
-        x = geometry.rho_at(params.r, phi, mp)
+        sines = _sines(params.r, mp.mpf(c.phi))
+        s1, _, sr, sr1, _ = sines
+        x = geometry._rho(params.r, s1, sr, sr1)
         if not mp.isfinite(x):
             raise DomainError(f"evaluation point must be finite, got {x!r}")
         sign, man, exp, _ = x._mpf_
-        lm = _log_prefactor(params, phi)
+        lm = _log_prefactor(params, sines)
         cancellation = max(
             0,
             rescaled.term_top(man.bit_length() + exp)
@@ -227,7 +260,7 @@ def normalized_poly(params: ModelParams, c: PhiCoordinate) -> float:
         value, _, exponent = poly.eval_bounded(
             rescaled, -man if sign else man, -exp, bits, 64
         )
-        ratio = mp.ldexp(value, exponent) / lcm / mp.e**lm
+        ratio = mp.ldexp(value, exponent) / lcm / mp.exp(lm)
     return float((-1) ** params.n * ratio)
 
 

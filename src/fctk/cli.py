@@ -45,6 +45,17 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
 
+def _angle(text: str) -> float:
+    # nan would pass the clamp of _clamp_phi unchanged; infinities are clamped
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an angle: {text!r} ({exc})")
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"angle must not be nan, got {text!r}")
+    return value
+
+
 def _nu_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -279,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=asymptotics.FIG1_PARAMS.r)
     p.add_argument("--nu", type=_nu_list, default=asymptotics.FIG1_PARAMS.nu)
     p.add_argument("--n", type=int, default=asymptotics.FIG1_PARAMS.n)
-    p.add_argument("--phi-lo", type=float, default=asymptotics.FIG1_PHI_LO)
-    p.add_argument("--phi-hi", type=float, default=asymptotics.FIG1_PHI_HI)
+    p.add_argument("--phi-lo", type=_angle, default=asymptotics.FIG1_PHI_LO)
+    p.add_argument("--phi-hi", type=_angle, default=asymptotics.FIG1_PHI_HI)
     p.add_argument("--count", type=int, default=asymptotics.FIG1_COUNT)
     add_out(p)
 
@@ -290,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=_nu_list, default=(0,))
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--x", type=_rational, help="contour evaluation point")
-    p.add_argument("--phi", type=float, help="angle for msp / hmax probes")
+    p.add_argument("--phi", type=_angle, help="angle for msp / hmax probes")
     p.add_argument("--m", type=int, default=256, help="grid points per axis")
     add_out(p)
 

@@ -194,8 +194,8 @@ def verify_h_max(c: PhiCoordinate, grid_m: int):
         raise DomainError(f"grid_m must be >= 64, got {grid_m}")
     t = QuadratureGrid(c.r, grid_m).nodes
     r, phi = c.r, c.phi
-    a = geometry.saddle_modulus_at(r, phi)
-    s1, sr1 = math.sin(phi), math.sin((r + 1) * phi)
+    s1, sr, sr1 = math.sin(phi), math.sin(r * phi), math.sin((r + 1) * phi)
+    a = geometry._saddle_modulus(sr, sr1)
 
     axis = 2 * a * np.cos(t)
     best, choices = axis, []

@@ -14,11 +14,15 @@ contour representation sit at a(phi) e^{+-i phi} with modulus
 a(phi) = sin((r+1)phi)/sin(r phi) and solve the trinomial
 w^(r+1) - x w + x = 0 at x = rho(phi).
 
-The formulas take a backend module (math, mpmath, or numpy) so the
-same expressions serve double-precision scalars, arbitrary precision,
-and vectorized grids.  Every inversion in the package (x -> phi, the
-quantiles of the distribution, the extrema of the cosine approximant)
-goes through the one vectorized bisection solve_phi.
+Each formula is spelled once, over the sines and cosines it reads
+(s1 = sin phi, sr = sin r phi, sr1 = sin (r+1) phi, cr1 = cos (r+1) phi),
+so a caller that needs several of them at one angle evaluates each
+value once.  The public *_at forms take a backend module (math, mpmath,
+or numpy), evaluate the values they read and call those spellings, so
+the same expressions serve double-precision scalars, arbitrary
+precision, and vectorized grids.  Every inversion in the package
+(x -> phi, the quantiles of the distribution, the extrema of the cosine
+approximant) goes through the one vectorized bisection solve_phi.
 """
 
 from __future__ import annotations
@@ -58,11 +62,43 @@ def x_star(r: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# the formulas over sine and cosine values already computed
+
+def _rho(r, s1, sr, sr1):
+    return sr1 ** (r + 1) / (s1 * sr**r)
+
+
+def _saddle_modulus(sr, sr1):
+    return sr1 / sr
+
+
+def _f(r, phi, s1, sr, sr1):
+    return (r + 1) * phi - r * _saddle_modulus(sr, sr1) * s1
+
+
+def _d_factor(r, s1, sr, sr1, cr1):
+    """Real and imaginary parts of 1 - (r sin(phi)/sin(r phi)) e^{i(r+1)phi}."""
+    return 1 - r * s1 * cr1 / sr, -r * s1 * sr1 / sr
+
+
+def _hess_quartic(r, s1, sr, sr1, cr1):
+    re, im = _d_factor(r, s1, sr, sr1, cr1)
+    return re * re + im * im
+
+
+def _g_shift(r, nu, phi, s1, sr, sr1, cr1, lib):
+    re, im = _d_factor(r, s1, sr, sr1, cr1)
+    atan2 = getattr(lib, "atan2", None) or lib.arctan2
+    arg = atan2(im, re)
+    return -(r * phi / 2 + sum(nu) * phi) - arg / 2
+
+
+# ---------------------------------------------------------------------------
 # backend-generic forms (lib is math, mpmath, or numpy)
 
 def rho_at(r, phi, lib=math):
     """x = rho(phi), strictly decreasing from x_star(r) to 0."""
-    return lib.sin((r + 1) * phi) ** (r + 1) / (lib.sin(phi) * lib.sin(r * phi) ** r)
+    return _rho(r, lib.sin(phi), lib.sin(r * phi), lib.sin((r + 1) * phi))
 
 
 def saddle_modulus_at(r, phi, lib=math):
@@ -70,12 +106,12 @@ def saddle_modulus_at(r, phi, lib=math):
 
     Both saddles solve w^(r+1) - x w + x = 0 at x = rho(phi).
     """
-    return lib.sin((r + 1) * phi) / lib.sin(r * phi)
+    return _saddle_modulus(lib.sin(r * phi), lib.sin((r + 1) * phi))
 
 
 def f_at(r, phi, lib=math):
     """Oscillation phase f(phi), strictly increasing from 0 to pi."""
-    return (r + 1) * phi - r * saddle_modulus_at(r, phi, lib) * lib.sin(phi)
+    return _f(r, phi, lib.sin(phi), lib.sin(r * phi), lib.sin((r + 1) * phi))
 
 
 def f_deriv_at(r, phi, lib=math):
@@ -92,10 +128,9 @@ def rho_deriv_at(r, phi, lib=math):
     return -num * sr1**r / (s1 * s1 * sr ** (r + 1))
 
 
-def _d_factor_at(r, phi, lib):
-    """Real and imaginary parts of 1 - (r sin(phi)/sin(r phi)) e^{i(r+1)phi}."""
-    s1, sr = lib.sin(phi), lib.sin(r * phi)
-    return 1 - r * s1 * lib.cos((r + 1) * phi) / sr, -r * s1 * lib.sin((r + 1) * phi) / sr
+def _d_sines(r, phi, lib):
+    """The four values the d-factor reads: s1, sr, sr1, cr1."""
+    return lib.sin(phi), lib.sin(r * phi), lib.sin((r + 1) * phi), lib.cos((r + 1) * phi)
 
 
 def hess_quartic_at(r, phi, lib=math):
@@ -104,8 +139,7 @@ def hess_quartic_at(r, phi, lib=math):
     This is the bracket raised to the -1/4 power in the oscillatory
     amplitude; it stays strictly positive on the open interval.
     """
-    re, im = _d_factor_at(r, phi, lib)
-    return re * re + im * im
+    return _hess_quartic(r, *_d_sines(r, phi, lib))
 
 
 def g_shift_at(r, nu, phi, lib=math):
@@ -114,10 +148,7 @@ def g_shift_at(r, nu, phi, lib=math):
     The principal complex argument reproduces the arctan of the same
     ratio while staying continuous when its denominator vanishes.
     """
-    re, im = _d_factor_at(r, phi, lib)
-    atan2 = getattr(lib, "atan2", None) or lib.arctan2
-    arg = atan2(im, re)
-    return -(r * phi / 2 + sum(nu) * phi) - arg / 2
+    return _g_shift(r, nu, phi, *_d_sines(r, phi, lib), lib)
 
 
 # ---------------------------------------------------------------------------

@@ -35,4 +35,6 @@ def uniforms(seed: int, count: int) -> np.ndarray:
 
 def complex_gaussians(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Complex Gaussians with unit variance from gen: Re, Im ~ N(0, 1/2) independent."""
-    return gen.standard_normal((*shape, 2)).view(np.complex128)[..., 0] * np.sqrt(0.5)
+    pairs = gen.standard_normal((*shape, 2))
+    pairs *= np.sqrt(0.5)
+    return pairs.view(np.complex128)[..., 0]

@@ -2,11 +2,12 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fctk import asymptotics, poly
+from fctk import asymptotics, geometry, poly
 from fctk.asymptotics import (
     FIG1_COUNT,
     FIG1_PARAMS,
@@ -20,7 +21,15 @@ from fctk.asymptotics import (
     pr_prefactor_log,
 )
 from fctk.errors import DomainError, FctkError
-from fctk.geometry import PhiCoordinate, rho_at
+from fctk.geometry import (
+    PhiCoordinate,
+    f_at,
+    g_shift_at,
+    hess_quartic_at,
+    rho_at,
+    saddle_modulus_at,
+    solve_phi,
+)
 from fctk.poly import ModelParams, build_f, eval_exact, rescale_arg
 from tests.test_poly import laguerre_recurrence
 
@@ -52,7 +61,7 @@ def normalized_reference(params, phi, digits=200):
         for k in range(n + 1)
     )
     with mp.workdps(3 * digits):
-        lm = _log_prefactor(params, mp.mpf(phi))
+        lm = _log_prefactor(params, asymptotics._sines(r, mp.mpf(phi)))
         return (-1) ** n * mp.mpf(total) / (mp.mpf(den) * mp.mpf(q) ** n) / mp.e**lm
 
 
@@ -371,3 +380,89 @@ def test_full_formula_matches_laguerre_remark():
 def test_mismatched_r_raises():
     with pytest.raises(DomainError):
         cosine_approximant(ModelParams(2, (0, 0), 5), PhiCoordinate(1, 0.5))
+
+
+def _spy(monkeypatch, module, weights):
+    """Count calls of module's functions, each call adding its weight
+    (the number of values it returns), in one running total."""
+    total = [0]
+    for name, weight in weights.items():
+        inner = getattr(module, name)
+
+        def counted(*args, _inner=inner, _weight=weight, **kwargs):
+            total[0] += _weight
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return total
+
+
+def test_assembly_evaluates_each_sine_once(monkeypatch):
+    # a fig1 row, normalized_poly then cosine_approximant, costs at most
+    # 5 + 6 trigonometric values: sin phi, cos phi, sin r phi, sin (r+1) phi
+    # and cos (r+1) phi once each, and the cosine of the phase
+    params = FIG1_PARAMS
+    c = PhiCoordinate(3, FIG1_PHI_LO)
+    normalized_poly(params, c)  # builds the cached rescaled polynomial
+    trig = _spy(monkeypatch, mp, {"sin": 1, "cos": 1, "cos_sin": 2})
+    # positive control: the spy counts the public forms over mpmath
+    with mp.workprec(asymptotics._working_prec(params)):
+        phi = mp.mpf(c.phi)
+        for evaluate, values in (
+            (lambda: rho_at(3, phi, mp), 3),
+            (lambda: f_at(3, phi, mp), 3),
+            (lambda: saddle_modulus_at(3, phi, mp), 2),
+            (lambda: hess_quartic_at(3, phi, mp), 4),
+            (lambda: g_shift_at(3, params.nu, phi, mp), 4),
+            (lambda: asymptotics._sines(3, phi), 5),
+        ):
+            trig[0] = 0
+            evaluate()
+            assert trig == [values]
+    for form, most in ((normalized_poly, 5), (cosine_approximant, 6), (pr_approx, 6)):
+        trig[0] = 0
+        form(params, c)
+        assert 0 < trig[0] <= most, form.__name__
+
+
+def _hint_phase(monkeypatch, params):
+    """The phase that zero_hints hands to solve_phi."""
+    phases = []
+
+    def recorded(r, increasing, targets):
+        phases.append(increasing)
+        return solve_phi(r, increasing, targets)
+
+    monkeypatch.setattr(geometry, "solve_phi", recorded)
+    asymptotics.zero_hints(params)
+    monkeypatch.setattr(geometry, "solve_phi", solve_phi)
+    return phases[0]
+
+
+def test_zero_hints_phase_evaluates_each_sine_once(monkeypatch):
+    # one halving of solve_phi costs 4 trigonometric ufunc calls and one
+    # arctan2, where f_at and g_shift_at cost 7 and one arctan2
+    r, nu, n = 3, (2, 4, 5), 40
+    phase = _hint_phase(monkeypatch, ModelParams(r, nu, n))
+    t = np.linspace(0.05, 0.7, 9)
+    trig = _spy(monkeypatch, np, {"sin": 1, "cos": 1})
+    angles = _spy(monkeypatch, np, {name: 1 for name in ("atan2", "arctan2") if hasattr(np, name)})
+    want = n * f_at(r, t, np) - g_shift_at(r, nu, t, np)
+    assert (trig, angles) == ([7], [1])  # positive control
+    trig[0] = angles[0] = 0
+    got = phase(t)
+    assert (trig, angles) == ([4], [1])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_zero_hints_equal_solve_phi_over_public_forms(r):
+    for n in (1, 2, 9, 33, 100):
+        nu = tuple((n + 3 * j) % 4 for j in range(r))
+        phi = solve_phi(
+            r,
+            lambda t: n * f_at(r, t, np) - g_shift_at(r, nu, t, np),
+            np.pi / 2 * np.arange(1, 2 * n),
+        )
+        want = rho_at(r, phi, np)[::-1]
+        assert asymptotics.zero_hints(ModelParams(r, nu, n)).tobytes() == want.tobytes()

@@ -156,6 +156,38 @@ def test_fig1_clamps_window(capsys):
     assert meta["phi_lo"] > 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fig1", "--phi-lo", "nan"),
+        ("fig1", "--phi-hi", "NaN"),
+        ("oracle", "msp", "--r", "2", "--nu", "0,0", "--n", "5", "--phi", "nan"),
+        ("oracle", "hmax", "--r", "2", "--phi=-nan"),
+    ],
+)
+def test_nan_angle_is_usage_error(capsys, argv):
+    # nan is no angle to clamp: exit 2 with no clamp line before the usage
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "clamped" not in err
+    assert "must not be nan" in err
+
+
+def test_infinite_angles_still_clamp(capsys):
+    code, out, err = run_cli(
+        capsys, "fig1", "--r", "1", "--nu", "0", "--n", "10",
+        "--phi-lo=-inf", "--phi-hi", "inf", "--count", "2",
+    )
+    assert code == 0
+    meta = json.loads(err)
+    assert meta == {"clamped": True, "phi_lo": 1e-9, "phi_hi": math.pi / 2 - 1e-9}
+    code, out, _ = run_cli(capsys, "oracle", "hmax", "--r", "2", "--phi", "inf", "--m", "64")
+    assert code == 0
+    assert json.loads(out)["clamped"] is True
+
+
 def test_oracle_contour(capsys):
     code, out, _ = run_cli(
         capsys, "oracle", "contour", "--r", "1", "--nu", "0", "--n", "3",

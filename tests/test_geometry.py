@@ -1,16 +1,19 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fctk import geometry
 from fctk.errors import DomainError
 from fctk.geometry import (
     PhiCoordinate,
     f_at,
     f_deriv_at,
     g_shift_at,
+    hess_quartic_at,
     rho_at,
     rho_deriv_at,
     rho_inv,
@@ -234,3 +237,51 @@ def test_derivative_formulas_match_finite_differences():
             fd_rho = (rho_at(r, phi + h) - rho_at(r, phi - h)) / (2 * h)
             assert f_deriv_at(r, phi) == pytest.approx(fd_f, rel=1e-7, abs=1e-7)
             assert rho_deriv_at(r, phi) == pytest.approx(fd_rho, rel=1e-7)
+
+
+def _outcome(form):
+    """The bytes of form(), or the type of the arithmetic error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(form(), dtype=float).tobytes()
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.tuples(*[st.integers(0, 9)] * r),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.sampled_from(["math", "numpy"]),
+        )
+    )
+)
+def test_public_forms_equal_their_shared_sines_forms(case):
+    # each *_at form is its spelling over given sines, bit for bit, on
+    # double scalars (math) and on arrays (numpy)
+    r, nu, frac, backend = case
+    phi = frac * math.pi / (r + 1)
+    assume(0.0 < phi < math.pi / (r + 1))
+    lib = math
+    if backend == "numpy":
+        lib, phi = np, np.array([phi, phi / 3])
+    s1, sr = lib.sin(phi), lib.sin(r * phi)
+    sr1, cr1 = lib.sin((r + 1) * phi), lib.cos((r + 1) * phi)
+    pairs = [
+        (lambda: rho_at(r, phi, lib), lambda: geometry._rho(r, s1, sr, sr1)),
+        (lambda: saddle_modulus_at(r, phi, lib), lambda: geometry._saddle_modulus(sr, sr1)),
+        (lambda: f_at(r, phi, lib), lambda: geometry._f(r, phi, s1, sr, sr1)),
+        (
+            lambda: hess_quartic_at(r, phi, lib),
+            lambda: geometry._hess_quartic(r, s1, sr, sr1, cr1),
+        ),
+        (
+            lambda: g_shift_at(r, nu, phi, lib),
+            lambda: geometry._g_shift(r, nu, phi, s1, sr, sr1, cr1, lib),
+        ),
+    ]
+    for public, shared in pairs:
+        assert _outcome(public) == _outcome(shared)
