@@ -165,9 +165,13 @@ def zero_hints(params: ModelParams) -> np.ndarray:
 
     def phase(t):
         s1, sr, sr1, cr1 = geometry._d_sines(r, t, np)
-        return n * geometry._f(r, t, s1, sr, sr1) - geometry._g_shift(
+        value = n * geometry._f(r, t, s1, sr, sr1) - geometry._g_shift(
             r, nu, t, s1, sr, sr1, cr1, np
         )
+        slope = n * geometry._f_deriv(r, s1, sr, sr1, cr1) - geometry._g_deriv(
+            r, nu, s1, sr, sr1, cr1, np.sin((r + 2) * t)
+        )
+        return value, slope
 
     phi = geometry.solve_phi(r, phase, np.pi / 2 * np.arange(1, 2 * n))
     return geometry.rho_at(r, phi, np)[::-1]

@@ -102,16 +102,17 @@ class FussCatalanDist:
         r = self.r
         inside = (0.0 < x) & (x < self.support[1])
         out = np.array(x > 0.0, dtype=float)
-        phi = geometry.solve_phi(r, lambda t: -geometry.rho_at(r, t, np), -x[inside])
+        phi = geometry.solve_phi(r, geometry._minus_rho_and_slope(r), -x[inside])
         out[inside] = 1.0 - geometry.f_at(r, phi, np) / math.pi
         return out if out.ndim else float(out)
 
     def quantile(self, p: float) -> float:
-        """x with |cdf(x) - p| <= 1e-12, by bisection in the angle."""
+        """x with |cdf(x) - p| <= 1e-12, by solve_phi on f in the angle."""
         if not (0.0 < p < 1.0):
             raise DomainError(f"p must lie in (0, 1), got {p!r}")
         r = self.r
-        phi = float(geometry.solve_phi(r, lambda t: geometry.f_at(r, t, np), math.pi * (1.0 - p)))
+        # 1 - p before rounding: exact for a rational p within 1e-16 of 1
+        phi = float(geometry.solve_phi(r, geometry._f_and_slope(r), math.pi * float(1 - p)))
         return geometry.rho_at(r, phi)
 
     # -- moments ------------------------------------------------------------
@@ -151,7 +152,7 @@ class FussCatalanDist:
         if count == 0:
             return u
         r = self.r
-        phi = geometry.solve_phi(r, lambda t: geometry.f_at(r, t, np), np.pi * (1.0 - u))
+        phi = geometry.solve_phi(r, geometry._f_and_slope(r), np.pi * (1.0 - u))
         return np.asarray(geometry.rho_at(r, phi, np))
 
     # -- Stieltjes transform --------------------------------------------------

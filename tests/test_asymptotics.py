@@ -24,8 +24,7 @@ from fctk.errors import DomainError, FctkError
 from fctk.geometry import (
     PhiCoordinate,
     f_at,
-    g_shift_at,
-    hess_quartic_at,
+    f_deriv_at,
     rho_at,
     saddle_modulus_at,
     solve_phi,
@@ -93,12 +92,11 @@ def test_prefactor_log_finite_and_parity():
 
 
 def test_quartic_bracket_positive_on_grid():
-    from fctk.geometry import hess_quartic_at
-
     for r in (1, 2, 3, 4):
         top = math.pi / (r + 1)
         for i in range(1, 400):
-            assert hess_quartic_at(r, i * top / 400) > 0
+            sines = geometry._d_sines(r, i * top / 400, math)
+            assert geometry._hess_quartic(r, *sines) > 0
 
 
 def test_laguerre_prefactor_identity():
@@ -412,8 +410,8 @@ def test_assembly_evaluates_each_sine_once(monkeypatch):
             (lambda: rho_at(3, phi, mp), 3),
             (lambda: f_at(3, phi, mp), 3),
             (lambda: saddle_modulus_at(3, phi, mp), 2),
-            (lambda: hess_quartic_at(3, phi, mp), 4),
-            (lambda: g_shift_at(3, params.nu, phi, mp), 4),
+            (lambda: geometry._hess_quartic(3, *geometry._d_sines(3, phi, mp)), 4),
+            (lambda: geometry._g_shift(3, params.nu, phi, *geometry._d_sines(3, phi, mp), mp), 4),
             (lambda: asymptotics._sines(3, phi), 5),
         ):
             trig[0] = 0
@@ -426,43 +424,71 @@ def test_assembly_evaluates_each_sine_once(monkeypatch):
 
 
 def _hint_phase(monkeypatch, params):
-    """The phase that zero_hints hands to solve_phi."""
-    phases = []
+    """The phase that zero_hints hands to solve_phi, and the sizes of the
+    arrays solve_phi evaluates it on, one entry per evaluation."""
+    phases, evaluations = [], []
 
     def recorded(r, increasing, targets):
         phases.append(increasing)
-        return solve_phi(r, increasing, targets)
+
+        def counted(t):
+            evaluations.append(t.size)
+            return increasing(t)
+
+        return solve_phi(r, counted, targets)
 
     monkeypatch.setattr(geometry, "solve_phi", recorded)
     asymptotics.zero_hints(params)
-    return phases[0]
+    return phases[0], evaluations
 
 
 def test_zero_hints_phase_evaluates_each_sine_once(monkeypatch):
-    # one halving of solve_phi costs 4 trigonometric ufunc calls and one
-    # arctan2, where f_at and g_shift_at cost 7 and one arctan2
+    # one evaluation of the phase and its slope costs 5 trigonometric ufunc
+    # calls (sin phi, sin r phi, sin (r+1) phi, cos (r+1) phi, and
+    # sin (r+2) phi for g') and one arctan2, where f_at and the d-factor
+    # sines of the g spelling cost 7 and one arctan2; a zero_hints call
+    # costs that per evaluation and the 3 sines of rho at the angles found
     r, nu, n = 3, (2, 4, 5), 40
-    phase = _hint_phase(monkeypatch, ModelParams(r, nu, n))
+    params = ModelParams(r, nu, n)
+    phase, evaluations = _hint_phase(monkeypatch, params)
     t = np.linspace(0.05, 0.7, 9)
     trig = _spy(monkeypatch, np, {"sin": 1, "cos": 1})
     atan2_names = [name for name in ("atan2", "arctan2") if hasattr(np, name)]
     angles = _spy(monkeypatch, np, dict.fromkeys(atan2_names, 1))
-    want = n * f_at(r, t, np) - g_shift_at(r, nu, t, np)
+    want = n * f_at(r, t, np) - geometry._g_shift(r, nu, t, *geometry._d_sines(r, t, np), np)
     assert (trig, angles) == ([7], [1])  # positive control
     trig[0] = angles[0] = 0
-    got = phase(t)
-    assert (trig, angles) == ([4], [1])
-    assert got.tobytes() == want.tobytes()
+    value, _ = phase(t)
+    assert (trig, angles) == ([5], [1])
+    assert value.tobytes() == want.tobytes()
+    trig[0] = angles[0] = 0
+    calls = len(evaluations)
+    asymptotics.zero_hints(params)
+    assert len(evaluations) == 2 * calls
+    assert (trig, angles) == ([5 * calls + 3], [calls])
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_zero_hints_take_few_phase_evaluations(monkeypatch, r):
+    # a bisection to adjacent doubles took 54-56 evaluations of the phase
+    nu = tuple((3 * j + 1) % 4 for j in range(r))
+    _, evaluations = _hint_phase(monkeypatch, ModelParams(r, nu, 100))
+    assert len(evaluations) <= 16
+    assert evaluations[0] == 199  # only targets with an open bracket follow
+    assert all(a >= b for a, b in zip(evaluations, evaluations[1:]))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_zero_hints_equal_solve_phi_over_public_forms(r):
     for n in (1, 2, 9, 33, 100):
         nu = tuple((n + 3 * j) % 4 for j in range(r))
-        phi = solve_phi(
-            r,
-            lambda t: n * f_at(r, t, np) - g_shift_at(r, nu, t, np),
-            np.pi / 2 * np.arange(1, 2 * n),
-        )
+
+        def phase(t):
+            sines = geometry._d_sines(r, t, np)
+            g = geometry._g_shift(r, nu, t, *sines, np)
+            g_deriv = geometry._g_deriv(r, nu, *sines, np.sin((r + 2) * t))
+            return n * f_at(r, t, np) - g, n * f_deriv_at(r, t, np) - g_deriv
+
+        phi = solve_phi(r, phase, np.pi / 2 * np.arange(1, 2 * n))
         want = rho_at(r, phi, np)[::-1]
         assert asymptotics.zero_hints(ModelParams(r, nu, n)).tobytes() == want.tobytes()

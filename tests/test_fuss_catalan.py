@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -141,6 +142,35 @@ def test_quantile_inverts_cdf(r, t):
     d = FussCatalanDist(r)
     x = 1e-3 + t * (d.support[1] - 2e-3)
     assert d.quantile(d.cdf(x)) == pytest.approx(x, abs=1e-10, rel=1e-10)
+
+
+def _mp_phi_of_f(r, target):
+    """phi with f(phi) = target at the current mp precision, bisecting log(phi)."""
+    lo, hi = mp.mpf(10) ** -60, mp.pi / (r + 1) / 2
+    for _ in range(400):
+        mid = mp.sqrt(lo * hi)
+        if geometry.f_at(r, mid, mp) < target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_quantile_within_1e_16_of_one():
+    # 1 - p is taken exactly, so p = 1 - 1e-17 asks for an angle near 2e-6
+    # and rho_at reads its sines as ratios: this raised ZeroDivisionError
+    # while p was rounded to 1 first and sin(phi) sin(r phi)^r underflowed
+    for r in (1, 2, 3, 6):
+        d = FussCatalanDist(r)
+        for k in (17, 30, 400):
+            p = Fraction(1) - Fraction(1, 10**k)
+            x = d.quantile(p)
+            with mp.workdps(80):
+                want = rho_at(r, _mp_phi_of_f(r, mp.pi * mp.mpf(10) ** -k), mp)
+                assert abs(x - want) <= 2e-15 * want
+            assert abs(d.cdf(x) - p) <= 1e-12
+    x = FussCatalanDist(1).quantile(Fraction(1) - Fraction(1, 10**17))
+    assert 4.0 - 1e-10 < x < 4.0
 
 
 def test_cdf_density_consistency():

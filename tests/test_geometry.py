@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fctk import geometry
@@ -12,15 +13,19 @@ from fctk.geometry import (
     PhiCoordinate,
     f_at,
     f_deriv_at,
-    g_shift_at,
-    hess_quartic_at,
     rho_at,
     rho_deriv_at,
     rho_inv,
     saddle_modulus_at,
+    solve_phi,
     solve_trinomial,
     x_star,
 )
+
+
+def g_shift(r, nu, phi, lib=math):
+    """The phase shift g over the d-factor sines of one angle."""
+    return geometry._g_shift(r, nu, phi, *geometry._d_sines(r, phi, lib), lib)
 
 
 def saddles(r, phi):
@@ -92,10 +97,10 @@ def test_monotonicity_grids():
 def test_g_shift():
     # 1 - (r sin(phi)/sin(r phi)) e^{i(r+1)phi} = 1 - i at r=1, phi=pi/4,
     # so the argument term contributes +pi/8 and g vanishes there
-    assert g_shift_at(1, (0,), math.pi / 4) == pytest.approx(0.0, abs=1e-15)
+    assert g_shift(1, (0,), math.pi / 4) == pytest.approx(0.0, abs=1e-15)
     # closed form for r=1, nu=(0): g = pi/4 - phi
     for phi in (0.3, 0.7, 1.1, 1.5):
-        assert g_shift_at(1, (0,), phi) == pytest.approx(
+        assert g_shift(1, (0,), phi) == pytest.approx(
             math.pi / 4 - phi, abs=1e-13
         )
     # continuity on a dense grid (the atan2 form has no branch jumps)
@@ -103,7 +108,7 @@ def test_g_shift():
         top = math.pi / (r + 1)
         prev = None
         for i in range(1, 2000):
-            val = g_shift_at(r, (1,) * r, i * top / 2000)
+            val = g_shift(r, (1,) * r, i * top / 2000)
             assert math.isfinite(val)
             if prev is not None:
                 assert abs(val - prev) < 0.05
@@ -115,7 +120,7 @@ def test_laguerre_phase_convention():
     # literal cosine argument -n f + g is the classical phase itself
     n = 37
     for phi in (0.4, 0.9, 1.3):
-        f, g = f_at(1, phi), g_shift_at(1, (0,), phi)
+        f, g = f_at(1, phi), g_shift(1, (0,), phi)
         classical = n * (math.sin(2 * phi) - 2 * phi) - phi + math.pi / 4
         assert n * f + g == pytest.approx(-(
             n * (math.sin(2 * phi) - 2 * phi) + phi - math.pi / 4
@@ -253,7 +258,6 @@ def _outcome(form):
     st.integers(1, 6).flatmap(
         lambda r: st.tuples(
             st.just(r),
-            st.tuples(*[st.integers(0, 9)] * r),
             st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
             st.sampled_from(["math", "numpy"]),
         )
@@ -262,7 +266,7 @@ def _outcome(form):
 def test_public_forms_equal_their_shared_sines_forms(case):
     # each *_at form is its spelling over given sines, bit for bit, on
     # double scalars (math) and on arrays (numpy)
-    r, nu, frac, backend = case
+    r, frac, backend = case
     phi = frac * math.pi / (r + 1)
     assume(0.0 < phi < math.pi / (r + 1))
     lib = math
@@ -274,14 +278,125 @@ def test_public_forms_equal_their_shared_sines_forms(case):
         (lambda: rho_at(r, phi, lib), lambda: geometry._rho(r, s1, sr, sr1)),
         (lambda: saddle_modulus_at(r, phi, lib), lambda: geometry._saddle_modulus(sr, sr1)),
         (lambda: f_at(r, phi, lib), lambda: geometry._f(r, phi, s1, sr, sr1)),
-        (
-            lambda: hess_quartic_at(r, phi, lib),
-            lambda: geometry._hess_quartic(r, s1, sr, sr1, cr1),
-        ),
-        (
-            lambda: g_shift_at(r, nu, phi, lib),
-            lambda: geometry._g_shift(r, nu, phi, s1, sr, sr1, cr1, lib),
-        ),
+        (lambda: f_deriv_at(r, phi, lib), lambda: geometry._f_deriv(r, s1, sr, sr1, cr1)),
     ]
     for public, shared in pairs:
         assert _outcome(public) == _outcome(shared)
+
+
+def test_rho_at_tiny_angles():
+    # sin(phi) sin(r phi)^r underflows to 0 below phi of about 1e-162 at r=1;
+    # rho is read as ratios of the sines, which stay near (r+1)/r there
+    for r in range(1, 7):
+        xs = float(x_star(r))
+        for phi in (5e-324, 1e-320, 1e-200, 1e-100):
+            assert rho_at(r, phi) == pytest.approx(xs, rel=1e-15)
+            assert rho_at(r, np.array([phi]), np)[0] == pytest.approx(xs, rel=1e-15)
+            assert math.isfinite(rho_deriv_at(r, phi)) and rho_deriv_at(r, phi) <= 0
+    assert rho_at(1, 5e-324) == 4.0
+
+
+def test_slope_spellings_match_mpmath_diff():
+    # f' and rho' to a few ulps; rho' reads sin((r+1)phi), whose argument
+    # loses about 1e-16 absolute near pi, so the top end is not asked.
+    # g' cancels as phi -> 0 (an error near 1e-16 / (phi/top)^2).
+    with mp.workdps(40):
+        for r in range(1, 7):
+            top = math.pi / (r + 1)
+            nu = tuple((3 * j + 1) % 4 for j in range(r))
+            for frac in (1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+                phi = frac * top
+                at = mp.mpf(phi)
+                f_ref = mp.diff(lambda t: f_at(r, t, mp), at)
+                rho_ref = mp.diff(lambda t: rho_at(r, t, mp), at)
+                assert abs(f_deriv_at(r, phi) - f_ref) <= 1e-15 * abs(f_ref)
+                assert abs(rho_deriv_at(r, phi) - rho_ref) <= 1e-13 * abs(rho_ref)
+                if frac < 0.01:
+                    continue
+                g_ref = mp.diff(lambda t: g_shift(r, nu, t, mp), at)
+                sines = geometry._d_sines(r, phi, math)
+                g_deriv = geometry._g_deriv(r, nu, *sines, math.sin((r + 2) * phi))
+                assert abs(g_deriv - g_ref) <= 1e-11 * abs(g_ref)
+
+
+def _counted(monkeypatch):
+    """Patch solve_phi to count the evaluations of each increasing form it gets."""
+    counts = []
+
+    def counting(r, increasing, targets):
+        counts.append(0)
+
+        def counted(t):
+            counts[-1] += 1
+            return increasing(t)
+
+        return solve_phi(r, counted, targets)
+
+    monkeypatch.setattr(geometry, "solve_phi", counting)
+    return counts
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_rho_inv_takes_few_evaluations(monkeypatch, r):
+    # a bisection to adjacent doubles took 53-54 evaluations
+    counts = _counted(monkeypatch)
+    for x in (1.0, 2.0, float(x_star(r)) / 2):
+        rho_inv(r, x)
+    assert len(counts) == 3 and max(counts) <= 10, counts
+
+
+def _flips(r, increasing, target, phi):
+    """increasing crosses target between phi and a neighbouring double.
+
+    0.5 (lo + hi) of adjacent doubles rounds to lo or hi, and the ends of
+    the starting bracket, which are never evaluated, count as below and
+    above the target."""
+    top = np.nextafter(math.pi / (r + 1), 0.0)
+
+    def above(p):
+        if p >= top or p <= 5e-324:
+            return p >= top
+        return bool(increasing(np.array([p]))[0][0] >= target)
+
+    before, after = np.nextafter(phi, 0.0), np.nextafter(phi, math.inf)
+    return (not above(before) and above(phi)) or (not above(phi) and above(after))
+
+
+def _x_targets(r):
+    xs = float(x_star(r))
+    return st.one_of(
+        st.floats(0.0, xs, exclude_min=True, exclude_max=True),
+        st.floats(-1e-15, 0.0, exclude_max=True).map(lambda d: xs * (1 + d)),
+        st.floats(-300, 0).map(lambda e: xs * 10.0**e),
+        st.sampled_from([1e-300, 2.0, np.nextafter(xs, 0.0)]),
+    ).filter(lambda x: 0.0 < x < xs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda r: st.tuples(st.just(r), _x_targets(r))))
+@example((1, 2.0))  # the root pi/4 is the first point evaluated
+@example((1, 1e-300))
+def test_rho_inv_meets_the_bracket_contract(case):
+    r, x = case
+    phi = rho_inv(r, x).phi  # keeps its residual check
+    assert 0.0 < phi < math.pi / (r + 1)
+    assert abs(rho_at(r, phi) - x) <= 1e-14 * max(1.0, x)
+    assert _flips(r, geometry._minus_rho_and_slope(r), -x, phi)
+
+
+def _p_targets():
+    return st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(-300, -1).map(lambda e: 10.0**e),
+        st.floats(-16, -1).map(lambda e: 1.0 - 10.0**e),
+        st.sampled_from([5e-324, 1e-300, np.nextafter(1.0, 0.0)]),
+    ).filter(lambda p: 0.0 < p < 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), _p_targets())
+def test_f_inversion_meets_the_bracket_contract(r, p):
+    target = math.pi * (1 - p)
+    phi = float(solve_phi(r, geometry._f_and_slope(r), target))
+    assert 0.0 < phi < math.pi / (r + 1)
+    assert _flips(r, geometry._f_and_slope(r), target, phi)
