@@ -109,7 +109,7 @@ class FussCatalanDist:
     def quantile(self, p: float) -> float:
         """x with |cdf(x) - p| <= 1e-12, by solve_phi on f in the angle."""
         if not (0.0 < p < 1.0):
-            raise DomainError(f"p must lie in (0, 1), got {p!r}")
+            raise DomainError(f"p must lie in (0, 1), got {p}")
         r = self.r
         # 1 - p before rounding: exact for a rational p within 1e-16 of 1
         phi = float(geometry.solve_phi(r, geometry._f_and_slope(r), math.pi * float(1 - p)))
@@ -131,12 +131,8 @@ class FussCatalanDist:
         r = self.r
         top = math.pi / (r + 1)
 
+        # QUADPACK evaluates only interior nodes, so phi never reaches an end
         def integrand(phi):
-            if phi <= 0.0:
-                # rho -> x_star and f' -> (r-1)(r+2)/r as phi -> 0
-                return float(x_star(r)) ** n * (r - 1) * (r + 2) / r / math.pi
-            if phi >= top:
-                return 0.0 if n else (r + 1) ** 2 / math.pi
             return geometry.rho_at(r, phi) ** n * geometry.f_deriv_at(r, phi) / math.pi
 
         return _quad(integrand, 0.0, top)
@@ -241,15 +237,12 @@ def identity_check(r: int, n: int) -> tuple[float, Fraction]:
     if r < 1 or n < 0:
         raise DomainError(f"need r >= 1 and n >= 0, got r={r}, n={n}")
     try:
-        top = float(x_star(r)) ** n
+        float(x_star(r)) ** n  # the integrand's limit at t = 0
     except OverflowError:
         raise DomainError(f"x_star({r})^{n} exceeds the double range") from None
 
+    # QUADPACK evaluates only interior nodes, so t never reaches an end
     def integrand(t):
-        if t <= 0.0:
-            return top
-        if t >= 1.0:
-            return 0.0 if n else 1.0
         return geometry.rho_at(r, math.pi * t / (r + 1)) ** n
 
     lhs = _quad(integrand, 0.0, 1.0)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -5,12 +6,14 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fctk
 from fctk.cli import build_parser, main
+from fctk.fuss_catalan import FussCatalanDist
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -115,9 +118,31 @@ def test_fc_density_grid(capsys):
 
 
 def test_fc_missing_argument_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["fc", "quantile", "--r", "1"])
-    assert exc.value.code == 2
+    # each action takes only the options it reads, and they follow the action
+    for argv in (
+        "quantile --r 1",
+        "sample --r 2",
+        "cdf --r 1",
+        "cdf --r 1 --x 2 --seed 3",
+        "quantile --r 1 --p 0.5 --k 3",
+        "density --r 1 --x 1 --grid 3",
+        "cdf --r 1 --grid 0",
+        "cdf --r 1 --grid -3",
+        "--r 1 cdf --x 2",
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["fc", *argv.split()])
+        assert exc.value.code == 2, argv
+
+
+def test_fc_quantile_keeps_the_rational_p(capsys):
+    # the double nearest 1 - 1e-17 is 1.0, and 1 - p of the double
+    # 0.9999999999999999 is not 1e-16
+    for text in ("0.99999999999999999", "0.9999999999999999"):
+        code, out, _ = run_cli(capsys, "fc", "quantile", "--r", "1", "--p", text)
+        assert code == 0
+        assert float(out) == FussCatalanDist(1).quantile(Fraction(text))
+        assert 4.0 - 1e-9 < float(out) < 4.0
 
 
 def test_fig1_small(capsys):
@@ -215,10 +240,18 @@ def test_oracle_msp(capsys):
 
 
 def test_oracle_guard_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle", "contour", "--r", "3", "--nu", "0,0,0", "--n", "2",
-              "--x", "1", "--m", "4"])
-    assert exc.value.code == 2
+    # each probe takes only the options it reads, and contour and msp need the model
+    for argv in (
+        "contour --r 3 --nu 0,0,0 --n 2 --x 1 --m 4",
+        "contour --r 1 --nu 0 --n 3 --m 256",
+        "contour --r 2 --x 2",
+        "msp --r 1 --n 50 --phi 0.785",
+        "msp --r 1 --nu 0 --n 50 --phi 0.785 --m 64",
+        "hmax --r 2 --phi 0.4 --m 64 --nu 1",
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", *argv.split()])
+        assert exc.value.code == 2, argv
 
 
 def test_oracle_contour_large_grid(capsys):
@@ -296,6 +329,26 @@ def test_hmax_small_grid_usage(capsys):
         capsys, "oracle", "contour", "--r", "1", "--nu", "0", "--n", "2", "--x", "1", "--m", "32"
     )
     assert code == 0
+
+
+def _leaf_parsers(parser, path=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path, parser
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, (*path, name))
+
+
+def test_every_leaf_parser_has_a_handler_and_help(capsys):
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert len(leaves) >= 13  # poly, zeros, fig1, rmt, six fc actions, three oracle probes
+    for path, leaf in leaves.items():
+        assert callable(leaf.get_default("handler")), path
+        with pytest.raises(SystemExit) as exc:
+            main([*path, "--help"])
+        assert exc.value.code == 0, path
+        assert capsys.readouterr().out.startswith(f"usage: fctk {' '.join(path)} "), path
 
 
 def test_out_file(tmp_path, capsys):

@@ -284,6 +284,26 @@ def test_identity_check_at_large_n():
         identity_check(5, 300)
 
 
+def test_quadratures_pass_rho_at_interior_angles_only(monkeypatch):
+    # moment_quadrature and identity_check keep no end-point branch: QUADPACK's
+    # Gauss-Kronrod rules sample interior nodes only, and a SciPy that starts
+    # sampling an end point fails here
+    seen = []
+
+    def spy(r, phi):
+        seen.append(phi)
+        return rho_at(r, phi)
+
+    monkeypatch.setattr(geometry, "rho_at", spy)
+    for r in (1, 2, 3, 4):
+        top = math.pi / (r + 1)
+        for n in (0, 1, 4, 25):
+            for run in (FussCatalanDist(r).moment_quadrature, lambda n: identity_check(r, n)):
+                seen.clear()
+                run(n)
+                assert seen and all(0 < phi < top for phi in seen), (r, n, run)
+
+
 def test_quadrature_failure_is_raised():
     from fctk.errors import QuadratureFailure
     from fctk.fuss_catalan import _quad
