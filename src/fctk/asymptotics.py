@@ -52,16 +52,13 @@ _SPARE_BITS = 16
 
 @dataclass(frozen=True)
 class PRValue:
-    """Log-domain oscillatory value: sign * exp(log_magnitude) * oscillation."""
+    """Log-domain value: assembled = (-1)^n exp(log_magnitude) cosine_approximant.
+
+    pr_prefactor_log leaves `assembled` unset.
+    """
 
     log_magnitude: float
-    sign_parity: int
-    oscillation: float | None = None
     assembled: mp.mpf | None = None
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.sign_parity else 1
 
 
 def _match(params: ModelParams, c: PhiCoordinate):
@@ -178,18 +175,18 @@ def zero_hints(params: ModelParams) -> np.ndarray:
 
 
 def pr_prefactor_log(params: ModelParams, c: PhiCoordinate) -> PRValue:
-    """Amplitude of the oscillatory approximation, oscillation unset.
+    """Amplitude of the oscillatory approximation, `assembled` unset.
 
     log_magnitude collects 2/(2 pi)^(r/2), the (sin r phi/(n sin(r+1)phi))
     power, the exponential factor, |sin r phi / sin phi|^n and the inverse
-    quartic root; sign_parity records (-1)^n from the negative base.
+    quartic root; the sign (-1)^n from the negative base is left out.
     """
     _match(params, c)
     if params.n < 1:
         raise DomainError("prefactor requires degree n >= 1")
     with mp.workprec(_working_prec(params)):
         lm = _log_prefactor(params, _sines(params.r, mp.mpf(c.phi)))
-    return PRValue(log_magnitude=float(lm), sign_parity=params.n % 2)
+    return PRValue(log_magnitude=float(lm))
 
 
 def pr_approx(params: ModelParams, c: PhiCoordinate) -> PRValue:
@@ -201,14 +198,8 @@ def pr_approx(params: ModelParams, c: PhiCoordinate) -> PRValue:
         phi = mp.mpf(c.phi)
         sines = _sines(params.r, phi)
         lm = _log_prefactor(params, sines)
-        osc = mp.cos(_cos_argument(params, phi, sines))
-        assembled = (-1) ** params.n * mp.exp(lm) * osc
-    return PRValue(
-        log_magnitude=float(lm),
-        sign_parity=params.n % 2,
-        oscillation=float(osc),
-        assembled=assembled,
-    )
+        assembled = (-1) ** params.n * mp.exp(lm) * mp.cos(_cos_argument(params, phi, sines))
+    return PRValue(log_magnitude=float(lm), assembled=assembled)
 
 
 @lru_cache(maxsize=16)

@@ -1,11 +1,12 @@
 """Command-line surface: fctk <command> [<action>] [options].
 
 Each handler returns the text that main prints to stdout or to --out.
-Exit codes: 0 on success, 2 on usage errors (argparse), 1 on
-computational failures, which are reported as a single JSON object on
-stderr.  CSV output is header-first with 17-significant-digit decimals;
-JSON output is a single object with stable key order.  Exact rational
-inputs accept both 'p/q' and decimal strings.
+Exit codes: 0 on success, 2 on usage errors (argparse, and an output
+path that cannot be written), 1 on computational failures, which are
+reported as a single JSON object on stderr.  CSV output is header-first
+with 17-significant-digit decimals; JSON output is a single object with
+stable key order.  Exact rational inputs accept both 'p/q' and decimal
+strings.
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def add_r(p):
-        p.add_argument("--r", type=int, required=True, help="number of factors")
+        p.add_argument("--r", type=_int_at_least(1), required=True, help="number of factors")
 
     def add_model(p):
         add_r(p)
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
 
     p = add(sub, "fig1", cmd_fig1, "normalized polynomial and cosine approximant grid")
-    p.add_argument("--r", type=int, default=asymptotics.FIG1_PARAMS.r)
+    p.add_argument("--r", type=_int_at_least(1), default=asymptotics.FIG1_PARAMS.r)
     p.add_argument("--nu", type=_nu_list, default=asymptotics.FIG1_PARAMS.nu)
     p.add_argument("--n", type=int, default=asymptotics.FIG1_PARAMS.n)
     p.add_argument("--phi-lo", type=_angle, default=asymptotics.FIG1_PHI_LO)
@@ -332,13 +333,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.handler(parser, args)
+        _emit(args.handler(parser, args), args.out)
     except FctkError as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
         return 1
-    _emit(text, args.out)
+    except OSError as exc:
+        parser.error(f"cannot write the output: {exc}")
     return 0
 
 

@@ -5,13 +5,14 @@ The degree-n polynomial built here is
     F_n(x) = sum_k  binom(n, k) (-x)^k / ((k + nu_1)! ... (k + nu_r)!),
 
 together with its monic companion P_n = (-1)^n prod_j (n + nu_j)! F_n.
-Coefficients are kept as exact rationals: the alternating sum loses all
+A polynomial is stored in one form, its lcm-scaled integer coefficients
+(ExactPolynomial.integer_form): the alternating sum loses all
 significance in fixed precision once n is moderately large and the
 argument is of order n^r, so every downstream oracle evaluates through
-the lcm-scaled integer coefficients.  build_f and rescale_arg build that
-integer form directly from the factorial ratios, with no Fraction per
-coefficient.  Exact values come from one homogeneous Horner over the
-integers (_horner, behind eval_exact).  Root-isolation signs and
+them.  build_f and rescale_arg build that integer form directly from
+the factorial ratios, with no Fraction per coefficient.  Exact values
+come from one homogeneous Horner over the integers (_horner, behind
+eval_exact).  Root-isolation signs and
 normalized-polynomial plots come from one fixed-point Horner with a
 certified error bound (eval_bounded), at a dyadic point given as the
 integer pair (num, shift) for num / 2^shift, over floored coefficients
@@ -63,21 +64,24 @@ class ModelParams:
 class ExactPolynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
-    coeffs[k] multiplies x^k; the leading coefficient is nonzero.  The
-    polynomial is immutable and is held either as its coefficients or as
-    its integer form; each is derived from the other on first use, so a
-    polynomial built from its integer form (build_f, rescale_arg) makes
-    no Fraction until `coeffs` is read.  Two polynomials are equal when
-    their integer forms are, which is when their coefficients are.
+    Stored only as its integer form (A, L): coeffs[k] == A[k] / L
+    multiplies x^k, L > 0 is the lcm of the reduced denominators, and the
+    leading coefficient is nonzero.  `coeffs` is a view derived from it
+    on first use, so a polynomial built from its integer form (build_f,
+    rescale_arg) makes no Fraction until `coeffs` is read.  The
+    polynomial is immutable; two are equal when their integer forms are,
+    which is when their coefficients are.
     """
 
     def __init__(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if not coeffs:
             raise DomainError("polynomial needs at least one coefficient")
         if len(coeffs) > 1 and coeffs[-1] == 0:
             raise DomainError("leading coefficient must be nonzero")
-        self.__dict__["coeffs"] = coeffs
+        lcm = math.lcm(*(c.denominator for c in coeffs))
+        ints = (c.numerator * (lcm // c.denominator) for c in coeffs)
+        self.__dict__["integer_form"] = (tuple(ints), lcm)
 
     @classmethod
     def _from_integer_form(cls, ints, lcm: int) -> ExactPolynomial:
@@ -109,12 +113,6 @@ class ExactPolynomial:
     def coeffs(self) -> tuple[Fraction, ...]:
         ints, lcm = self.integer_form
         return tuple(Fraction(c, lcm) for c in ints)
-
-    @cached_property
-    def integer_form(self) -> tuple[tuple[int, ...], int]:
-        """(A, L) with coeffs[k] == A[k] / L, L the lcm of the denominators."""
-        lcm = math.lcm(*(c.denominator for c in self.coeffs))
-        return tuple(c.numerator * (lcm // c.denominator) for c in self.coeffs), lcm
 
     def term_top(self, d: int) -> int:
         """top = max_k (bitlen(A_k) + k d), (A, L) = integer_form, memoized per d.

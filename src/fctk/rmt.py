@@ -46,10 +46,9 @@ def aggregate_measure(params: ModelParams, trials: int, seed: int) -> EmpiricalM
     trials = as_index(trials, "trials")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    pooled = np.concatenate(
-        [sample_spectrum(params, seed, trial=t) for t in range(trials)]
+    return EmpiricalMeasure(
+        np.concatenate([sample_spectrum(params, seed, trial=t) for t in range(trials)])
     )
-    return EmpiricalMeasure(tuple(np.sort(pooled)))
 
 
 def mean_moment(m: EmpiricalMeasure, k: float) -> float:
@@ -58,5 +57,4 @@ def mean_moment(m: EmpiricalMeasure, k: float) -> float:
         raise DomainError(f"moment order must be finite and >= 0, got {k}")
     if m.n == 0:
         raise DomainError("empty measure has no moments")
-    pts = np.asarray(m.points)
-    return float(np.mean(pts**k))
+    return float(np.mean(m.points**k))

@@ -93,17 +93,17 @@ class ZeroEnclosure:
         return (self.lo + self.hi) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
-    """Uniform probability measure on a sorted point set."""
+    """Uniform probability measure on a point set, held as one sorted,
+    read-only float64 array: the points given are copied and sorted once."""
 
-    points: tuple[float, ...]
+    points: np.ndarray
 
     def __post_init__(self):
-        pts = tuple(float(p) for p in self.points)
-        if any(pts[i] > pts[i + 1] for i in range(len(pts) - 1)):
-            pts = tuple(sorted(pts))
-        object.__setattr__(self, "points", pts)
+        points = np.sort(np.asarray(self.points, dtype=np.float64), axis=None)
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
 
     @property
     def n(self) -> int:
@@ -281,20 +281,15 @@ def _value(poly: ExactPolynomial, widths: dict, num: int, shift: int) -> tuple[i
     |v| >= 2 err, and |L p(x) - v 2^g| <= err 2^g, so v 2^g has the sign
     of the value and errs by at most half its own size; an exact root
     ends at the exact Horner and reads 0.  `widths` maps a binade d
-    (2^(d-1) <= x < 2^d) to the width that last certified there and the
-    unit 2^g it gives; a new binade starts at _first_width.  The largest term's exponent top
-    is fixed in a binade and g = top - width, so a pass that had to
-    double the width shows as a smaller g.
+    (2^(d-1) <= x < 2^d) to one width, the one that last certified
+    there, poly.term_top(d) - g; a binade not in it starts at
+    _first_width.
     """
     d = num.bit_length() - shift
-    entry = widths.get(d)
-    if entry is None:
-        bits = _first_width(poly.degree)
-        entry = widths[d] = bits, poly.term_top(d) - bits
-    bits, g_start = entry
+    bits = widths.get(d, _first_width(poly.degree))
     v, err, g = eval_bounded(poly, num, shift, bits, 0)
-    if err and g < g_start:
-        widths[d] = bits + g_start - g, g
+    if err:
+        widths[d] = poly.term_top(d) - g
     return v, g
 
 
@@ -547,7 +542,7 @@ def isolate_zeros(poly: ExactPolynomial, tol=DEFAULT_TOL, *, hints=None) -> list
     if a[0] == 0:
         raise IsolationFailure("zero constant term: x = 0 is a root, not positive")
     fujiwara = _fujiwara_exponent(a)
-    widths: dict[int, tuple[int, int]] = {}
+    widths: dict[int, int] = {}
     brackets = (
         None if separators is None
         else _seeded_brackets(poly, widths, separators, fujiwara)
@@ -573,7 +568,7 @@ def rescaled_zeros(params: ModelParams, tol=DEFAULT_TOL) -> list[ZeroEnclosure]:
 
 def rescaled_zero_measure(params: ModelParams, tol=DEFAULT_TOL) -> EmpiricalMeasure:
     """Zero counting measure of F_n(n^r x): enclosure midpoints, mass 1/n each."""
-    return EmpiricalMeasure(tuple(float(e.mid) for e in rescaled_zeros(params, tol)))
+    return EmpiricalMeasure([float(e.mid) for e in rescaled_zeros(params, tol)])
 
 
 def ks_distance(m: EmpiricalMeasure, d: FussCatalanDist) -> float:

@@ -86,9 +86,7 @@ def test_prefactor_log_finite_and_parity():
     c = PhiCoordinate(3, 0.5 * math.pi / 4)
     val = pr_prefactor_log(params, c)
     assert math.isfinite(val.log_magnitude)
-    assert val.sign_parity == 0
-    assert val.oscillation is None
-    assert pr_prefactor_log(ModelParams(3, (2, 4, 5), 151), c).sign_parity == 1
+    assert val.assembled is None
 
 
 def test_quartic_bracket_positive_on_grid():
@@ -112,8 +110,8 @@ def test_pr_value_assembly_consistency():
     params = ModelParams(2, (1, 2), 60)
     c = PhiCoordinate(2, 0.4 * math.pi / 3)
     v = pr_approx(params, c)
-    assert abs(v.oscillation) <= 1.0
-    recombined = v.sign * mp.e ** mp.mpf(v.log_magnitude) * v.oscillation
+    amplitude = (-1) ** params.n * mp.e ** mp.mpf(v.log_magnitude)
+    recombined = amplitude * cosine_approximant(params, c)
     assert abs(recombined - v.assembled) <= 1e-10 * abs(v.assembled)
 
 
@@ -179,11 +177,10 @@ def test_pr_approx_sign_agreement():
     params = ModelParams(1, (0,), 60)
     for frac in (0.2, 0.35, 0.5, 0.65, 0.8):
         c = PhiCoordinate(1, frac * math.pi / 2)
-        v = pr_approx(params, c)
-        if abs(v.oscillation) <= 0.2:
+        if abs(cosine_approximant(params, c)) <= 0.2:
             continue
         exact, _ = exact_f_at_rho(params, c.phi)
-        assert (exact > 0) == (v.assembled > 0)
+        assert (exact > 0) == (pr_approx(params, c).assembled > 0)
 
 
 def test_normalized_poly_bounded_and_converging():

@@ -351,6 +351,52 @@ def test_every_leaf_parser_has_a_handler_and_help(capsys):
         assert capsys.readouterr().out.startswith(f"usage: fctk {' '.join(path)} "), path
 
 
+def _other_required_args(leaf, skip):
+    # "1", a valid value for each of them, for every required option but
+    # `skip` and for the first option of each required group
+    argv = []
+    for action in leaf._actions:
+        if action.required and action.option_strings and skip not in action.option_strings:
+            argv += [action.option_strings[0], "1"]
+    for group in leaf._mutually_exclusive_groups:
+        if group.required:
+            argv += [group._group_actions[0].option_strings[0], "1"]
+    return argv
+
+
+def test_every_leaf_rejects_r_below_one_as_a_usage_error(capsys):
+    guarded = 0
+    for path, leaf in _leaf_parsers(build_parser()):
+        if "--r" not in leaf._option_string_actions:
+            continue
+        guarded += 1
+        for r in ("0", "-1"):
+            argv = [*path, *_other_required_args(leaf, "--r"), "--r", r]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            err = capsys.readouterr().err
+            assert f"argument --r: must be >= 1, got {r}" in err, argv
+            assert "Traceback" not in err, argv
+    assert guarded >= 13
+
+
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x"
+    for argv in (
+        ["fc", "density", "--r", "2", "--grid", "1", "--out", str(missing)],
+        ["rmt", "--r", "1", "--nu", "0", "--n", "3", "--trials", "1",
+         "--values-out", str(missing)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert str(missing) in captured.err and "Traceback" not in captured.err, argv
+    assert not missing.parent.exists()
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code, out, _ = run_cli(

@@ -119,6 +119,11 @@ def test_integer_form():
     assert tuple(Fraction(c, lcm) for c in ints) == f.coeffs
     assert lcm == math.lcm(*(c.denominator for c in f.coeffs))
     assert f.integer_form is f.integer_form  # computed once per polynomial
+    # the integer form is the one stored form; coeffs is derived on first use
+    g = ExactPolynomial([Fraction(1, 6), 0, Fraction(-3, 4)])
+    assert set(vars(g)) == {"integer_form"}
+    assert g.integer_form == ((2, 0, -9), 12)
+    assert g.coeffs == (Fraction(1, 6), 0, Fraction(-3, 4))
 
 
 @settings(max_examples=40, deadline=None)

@@ -60,6 +60,18 @@ def test_aggregate_and_moments():
     assert mean_moment(m, 0) == 1.0
 
 
+def test_empirical_measure_holds_one_sorted_read_only_array():
+    for given in ((3.0, 1.0, 2.0), [3, 1, 2], np.array([3.0, 1.0, 2.0])):
+        m = EmpiricalMeasure(given)
+        assert isinstance(m.points, np.ndarray) and m.points.dtype == np.float64
+        assert m.points.tolist() == [1.0, 2.0, 3.0]
+        assert not m.points.flags.writeable
+    params = ModelParams(2, (1, 0), 30)
+    spectra = [sample_spectrum(params, seed=3, trial=t) for t in range(4)]
+    pooled = aggregate_measure(params, trials=4, seed=3).points
+    assert pooled.tobytes() == np.sort(np.concatenate(spectra)).tobytes()
+
+
 def test_neighbouring_seeds_share_no_spectrum():
     params = ModelParams(1, (0,), 10)
     m7 = aggregate_measure(params, trials=50, seed=7)

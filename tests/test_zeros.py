@@ -348,6 +348,8 @@ def test_certified_signs_are_exact_signs(case, points):
             shift = den.bit_length() - 1
             for q, s in ((num, shift), (2 * num - 1, shift + 1), (2 * num + 1, shift + 1)):
                 assert _certified_sign(f, widths, q, s) == _exact_sign(f, q, s)
+    # one width per binade, at least the first one
+    assert all(type(w) is int and w >= zeros._first_width(f.degree) for w in widths.values())
 
 
 @settings(max_examples=25, deadline=None)
