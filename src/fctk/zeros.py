@@ -286,7 +286,7 @@ def _value(poly: ExactPolynomial, widths: dict, num: int, shift: int) -> tuple[i
     _first_width.
     """
     d = num.bit_length() - shift
-    bits = widths.get(d, _first_width(poly.degree))
+    bits = widths.get(d) or _first_width(poly.degree)
     v, err, g = eval_bounded(poly, num, shift, bits, 0)
     if err:
         widths[d] = poly.term_top(d) - g
