@@ -352,8 +352,8 @@ def test_every_leaf_parser_has_a_handler_and_help(capsys):
 
 
 def _other_required_args(leaf, skip):
-    # "1", a valid value for each of them, for every required option but
-    # `skip` and for the first option of each required group
+    # every required option but `skip`, and the first option of each
+    # required group, each given "1", a valid value for all of them
     argv = []
     for action in leaf._actions:
         if action.required and action.option_strings and skip not in action.option_strings:

@@ -118,7 +118,7 @@ def test_integer_form():
     assert all(isinstance(c, int) for c in ints)
     assert tuple(Fraction(c, lcm) for c in ints) == f.coeffs
     assert lcm == math.lcm(*(c.denominator for c in f.coeffs))
-    assert f.integer_form is f.integer_form  # computed once per polynomial
+    assert f.integer_form is f.integer_form  # stored, never recomputed
     # the integer form is the one stored form; coeffs is derived on first use
     g = ExactPolynomial([Fraction(1, 6), 0, Fraction(-3, 4)])
     assert set(vars(g)) == {"integer_form"}
