@@ -240,8 +240,9 @@ def cmd_rmt(parser, args) -> str:
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built on the first call, then reused.
 
-    Each parser that runs names its handler with set_defaults and declares
-    only the arguments that handler reads.
+    Each parser that runs names its handler and itself with set_defaults,
+    so that a usage error found after parsing prints that parser's usage,
+    and declares only the arguments that handler reads.
     """
     parser = argparse.ArgumentParser(
         prog="fctk",
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(subparsers, name, handler, help):
         p = subparsers.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
         p.add_argument("--out", help="output path (default stdout)")
         return p
 
@@ -330,17 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _emit(args.handler(parser, args), args.out)
+        _emit(args.handler(args.parser, args), args.out)
     except FctkError as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
         return 1
     except OSError as exc:
-        parser.error(f"cannot write the output: {exc}")
+        args.parser.error(f"cannot write the output: {exc}")
     return 0
 
 

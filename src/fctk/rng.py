@@ -5,12 +5,14 @@ integers in [0, 2^64); distinct pairs are distinct keys, so runs with
 different seeds share no stream.  The package uses
 
     stream 0:      the uniforms of FussCatalanDist.sample,
-    stream 1 + t:  draw t of rmt.aggregate_measure, whose factors take
-                   their Gaussians from it in order.
+    stream 1 + t:  draw t of rmt.aggregate_measure, in this order: the n
+                   gamma variates of the bidiagonal diagonal d, the n - 1
+                   of its superdiagonal e, then the Gaussians of X_2, ...,
+                   X_r, factor by factor.
 
 The same seed and the same numpy version give the same draws: uniforms
-come from the generator's 53-bit mantissa path and Gaussians from its
-standard_normal.
+come from the generator's 53-bit mantissa path, Gaussians from its
+standard_normal and gamma variates from its standard_gamma.
 """
 
 from __future__ import annotations

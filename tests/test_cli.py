@@ -304,6 +304,20 @@ def test_rmt_zero_degree_usage(capsys):
     assert exc.value.code == 2
 
 
+def test_usage_errors_after_parsing_print_the_command_usage(capsys):
+    for argv, usage in (
+        (["zeros", "--r", "1", "--nu", "0,0", "--n", "3"], "usage: fctk zeros "),
+        (["rmt", "--r", "1", "--nu", "0", "--n", "10", "--trials", "0"], "usage: fctk rmt "),
+        (["fig1", "--count", "0"], "usage: fctk fig1 "),
+        (["oracle", "msp", "--r", "2", "--nu", "0", "--n", "5", "--phi", "0.4"],
+         "usage: fctk oracle msp "),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().err.startswith(usage), argv
+
+
 def test_fig1_nonpositive_sizes_usage(capsys):
     for flag, value in (("--count", "0"), ("--n", "0")):
         with pytest.raises(SystemExit) as exc:
@@ -383,16 +397,18 @@ def test_every_leaf_rejects_r_below_one_as_a_usage_error(capsys):
 
 def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
     missing = tmp_path / "missing" / "x"
-    for argv in (
-        ["fc", "density", "--r", "2", "--grid", "1", "--out", str(missing)],
-        ["rmt", "--r", "1", "--nu", "0", "--n", "3", "--trials", "1",
-         "--values-out", str(missing)],
+    for argv, usage in (
+        (["fc", "density", "--r", "2", "--grid", "1", "--out", str(missing)],
+         "usage: fctk fc density "),
+        (["rmt", "--r", "1", "--nu", "0", "--n", "3", "--trials", "1",
+          "--values-out", str(missing)], "usage: fctk rmt "),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
+        assert captured.err.startswith(usage), argv
         assert str(missing) in captured.err and "Traceback" not in captured.err, argv
     assert not missing.parent.exists()
 

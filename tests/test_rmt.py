@@ -85,12 +85,12 @@ def test_neighbouring_seeds_share_no_spectrum():
 
 
 def test_draw_t_is_stream_1_plus_t():
-    # r=1, nu=(0), n=1: the spectrum is |X_11|^2, the first Gaussian of the stream
+    # r=1, nu=(0), n=1: the spectrum is d_0^2, the first gamma variate of the stream
     params = ModelParams(1, (0,), 1)
     for seed, trial in ((0, 0), (7, 0), (7, 3), (2**64 - 1, 41)):
-        z = complex_gaussians(generator(seed, 1 + trial), (1, 1))[0, 0]
+        g = generator(seed, 1 + trial).standard_gamma(1.0)
         got = sample_spectrum(params, seed, trial=trial)[0]
-        assert got == pytest.approx(abs(z) ** 2, rel=1e-15)
+        assert got == pytest.approx(g, rel=1e-15)
 
 
 def test_streams_never_overlap(monkeypatch):
@@ -134,6 +134,90 @@ def test_moment_convergence_full_size():
             exact = float(d.moment_exact(k))
             stderr = (pts**k).std() / math.sqrt(pts.size)
             assert abs(mean_moment(m, k) - exact) <= 3 * stderr, (r, k)
+
+
+def _exact_trace_moments(params):
+    # E tr W and E tr W^2 of W = Y*Y before the division by n^r, from the
+    # exact finite-n moments of Wishart products (Graczyk, Letac & Massam,
+    # Ann. Statist. 2003) at order m <= 2; p11 is E (tr W)^2
+    n = params.n
+    p1, p2, p11 = n, n, n * n
+    for v in params.nu:
+        big = n + v
+        p1, p2, p11 = big * p1, big**2 * p2 + big * p11, big**2 * p11 + big * p2
+    return p1, p2
+
+
+def _trace_moment_z(params, trials, seed):
+    scale = float(params.n) ** params.r
+    w = np.array([sample_spectrum(params, seed, trial=t) for t in range(trials)]) * scale
+    z = []
+    for k, exact in zip((1, 2), _exact_trace_moments(params)):
+        per_trial = (w**k).sum(axis=1)
+        z.append((per_trial.mean() - exact) / (per_trial.std(ddof=1) / math.sqrt(trials)))
+    return z
+
+
+@pytest.mark.parametrize("r, nu, n, trials", [
+    (1, (0,), 3, 20_000),
+    (1, (2,), 5, 20_000),
+    (2, (0, 0), 4, 20_000),
+    (2, (1, 3), 5, 20_000),
+    (3, (0, 1, 2), 3, 20_000),
+    (2, (0, 0), 200, 200),
+])
+def test_trace_moments_are_exact(r, nu, n, trials):
+    z = _trace_moment_z(ModelParams(r, nu, n), trials, seed=24)
+    assert max(abs(v) for v in z) <= 4, z
+
+
+class _ExtraDegree:
+    """A stream whose first gamma draw, the diagonal d, has one more degree of freedom."""
+
+    def __init__(self, gen):
+        self._gen, self._first = gen, True
+
+    def standard_gamma(self, shape):
+        shape, self._first = shape + self._first, False
+        return self._gen.standard_gamma(shape)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+def test_trace_moments_catch_a_wrong_diagonal(monkeypatch):
+    real = rng.generator
+    monkeypatch.setattr(rng, "generator", lambda seed, stream=0: _ExtraDegree(real(seed, stream)))
+    for params in (ModelParams(1, (0,), 3), ModelParams(2, (1, 3), 5)):
+        z = _trace_moment_z(params, 2_000, seed=24)
+        assert max(abs(v) for v in z) > 4, (params, z)
+
+
+def _dense_reference_spectrum(params, gen):
+    # every factor drawn dense and multiplied out: the sampler before the
+    # first factor was drawn in bidiagonal form, kept as a reference
+    dims = [params.n] + [params.n + v for v in params.nu]
+    y = complex_gaussians(gen, (dims[1], dims[0]))
+    for j in range(2, params.r + 1):
+        y = complex_gaussians(gen, (dims[j], dims[j - 1])) @ y
+    singular = np.linalg.svd(y, compute_uv=False)
+    return np.sort(singular * singular) / float(params.n) ** params.r
+
+
+@pytest.mark.parametrize("r, nu", [(1, (0,)), (1, (3,)), (2, (1, 3)), (3, (0, 1, 2))])
+def test_bidiagonal_sampler_matches_dense_reference(r, nu):
+    from scipy.stats import ks_2samp
+
+    params, trials = ModelParams(r, nu, 4), 4_000
+    new = np.array([sample_spectrum(params, seed=31, trial=t) for t in range(trials)])
+    ref = np.array([_dense_reference_spectrum(params, generator(32, 1 + t))
+                    for t in range(trials)])
+    for k in (1, 2, 3):
+        a, b = (new**k).mean(axis=1), (ref**k).mean(axis=1)
+        z = (a.mean() - b.mean()) / math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / trials)
+        assert abs(z) <= 4, (k, z)
+    # the hard edge, where the tails of the d_i decide
+    assert ks_2samp(new[:, 0], ref[:, 0]).pvalue > 1e-4
 
 
 def test_decomposition_failure_records_seed(monkeypatch):
