@@ -17,7 +17,10 @@ normalized-polynomial plots come from one fixed-point Horner with a
 certified error bound (eval_bounded), at a dyadic point given as the
 integer pair (num, shift) for num / 2^shift, over floored coefficients
 that the polynomial memoizes per binade of the point; it ends at the
-exact Horner when the bound cannot be met.
+exact Horner when the bound cannot be met.  The monic P_k also satisfy
+an (r + 2)-term recurrence in k with integer coefficients
+(recurrence_coefficients), which zeros runs in doubles to predict the
+roots that eval_bounded then certifies.
 """
 
 from __future__ import annotations
@@ -165,6 +168,47 @@ def build_p(params: ModelParams) -> ExactPolynomial:
     ints, _ = build_f(params).integer_form
     sign = -1 if params.n & 1 else 1
     return ExactPolynomial._from_integer_form([sign * c for c in ints], 1)
+
+
+def _top_coefficients(nu, k: int, count: int) -> list[int]:
+    """The coefficients of x^k, ..., x^(k - count + 1) of the monic P_k.
+
+    The coefficient of x^(k - m) is (-1)^m binom(k, m) prod_j (k + nu_j)! /
+    (k - m + nu_j)!, zero once m > k; each follows from the one before.
+    """
+    out, a = [1], 1
+    for m in range(1, count):
+        a = -(a * (k - m + 1) // m) * math.prod(k + v - m + 1 for v in nu)
+        out.append(a)
+    return out
+
+
+def recurrence_coefficients(params: ModelParams) -> list[tuple[int, ...]]:
+    """The integers b_(k,j), k < n, of x P_k = P_(k+1) + sum_(j=0..r) b_(k,j) P_(k-j).
+
+    The monic P_k of build_p are multiple orthogonal polynomials on the
+    step line (Kuijlaars & Zhang, CMP 2014), so they satisfy this
+    (r + 2)-term recurrence (Van Assche, JAT 2011), with b_(k,j) = 0 for
+    j > k.  Row k is read off the top r + 2 coefficients, with no
+    polynomial build: with a_(k,m) the coefficient of x^(k-m) of P_k
+    (_top_coefficients), the powers x^k, ..., x^(k-r) of the recurrence
+    give the unit lower-triangular system
+
+        sum_(j=0..m-1) b_(k,j) a_(k-j, m-1-j) = a_(k,m) - a_(k+1,m),  m = 1..r+1,
+
+    solved by forward substitution over the integers.  At r = 1 this is
+    b_(k,0) = 2k + nu + 1 and b_(k,1) = k (k + nu).
+    """
+    r, nu, n = params.r, params.nu, params.n
+    tops = [_top_coefficients(nu, k, r + 2) for k in range(n + 1)]
+    rows = []
+    for k in range(n):
+        b = []
+        for m in range(1, min(r, k) + 2):
+            rhs = tops[k][m] - tops[k + 1][m]
+            b.append(rhs - sum(b[j] * tops[k - j][m - 1 - j] for j in range(m - 1)))
+        rows.append(tuple(b) + (0,) * (r + 1 - len(b)))
+    return rows
 
 
 def rescale_arg(poly: ExactPolynomial, params: ModelParams) -> ExactPolynomial:

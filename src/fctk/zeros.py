@@ -39,19 +39,24 @@ Neighbouring brackets share ends, and each distinct end is signed once.
 Refinement.  Both paths hand the same thing to the refinement: integer
 brackets with the certified values at their ends, each point signed
 once with one shared table of widths, of which every root refines from
-its own copy.  The refinement is quadratic interval refinement (J.
-Abbott, "Quadratic interval refinement for real roots", 2006): secant
-steps on a grid of 2^m dyadic cells, kept only where the certified
-signs at a cell's ends differ, with a bisection step on a
-miss.  The secant runs on the approximate values, which may pick
-another cell than the exact ones would; that costs evaluations, never
-a certificate.  A secant on a cell 2^-b as wide as the starting
-bracket is accurate to about 2^-b of that cell, so m is capped at the
-bits b gained so far, minus one.  Zero estimates (the even hints, where
-the cosine approximant vanishes) pick only the first cell, among
-2^6; no value is taken at an estimate, and a bad one costs evaluations,
-never a certificate.  The bracket sequence does not depend on the tolerance,
-which only decides where it stops.
+its own copy.  A zero estimate e (an even hint) inside its bracket is
+tested first, by the certified signs at e -+ 2^-44: on a sign change
+that window is the new bracket, and on a miss the two signs keep the
+side of it they prove.  rescaled_zeros polishes the estimates of
+zero_hints by Newton passes on the (r + 2)-term recurrence of the monic
+polynomials (_predicted_zeros), so that most windows hold their root
+and a root at tol 1e-12 costs those two signs.  The refinement
+continues by quadratic interval refinement (J. Abbott, "Quadratic
+interval refinement for real roots", 2006): secant steps on a grid of
+2^m dyadic cells, kept only where the certified signs at a cell's ends
+differ, with a bisection step on a miss.  The secant runs on the
+approximate values, which may pick another cell than the exact ones
+would; that costs evaluations, never a certificate, as does a bad
+estimate.  A secant on a cell 2^-b as wide as the starting bracket is
+accurate to about 2^-b of that cell, so m is capped at the bits b
+gained so far, minus one.  The window does not depend on the tolerance
+and neither does the rest of the bracket sequence: the tolerance only
+decides where it stops.
 """
 
 from __future__ import annotations
@@ -67,14 +72,23 @@ import numpy as np
 from .asymptotics import zero_hints
 from .errors import DomainError, IsolationFailure, NotSquareFree
 from .fuss_catalan import FussCatalanDist
-from .poly import ExactPolynomial, ModelParams, build_f, eval_bounded, rescale_arg
+from .poly import (
+    ExactPolynomial,
+    ModelParams,
+    build_f,
+    eval_bounded,
+    recurrence_coefficients,
+    rescale_arg,
+)
 
 DEFAULT_TOL = Fraction(1, 10**12)
 
 _SQFREE_PRIMES = (2147483647, 2305843009213693951, 4611686018427387847)
 
-# log2 of the number of cells among which a zero estimate picks the first
-_FIRST_CELL_BITS = 6
+# _refine first signs a zero estimate e at e -+ 2^-_WINDOW_BITS
+_WINDOW_BITS = 44
+# Newton passes of the zero predictor (_predicted_zeros)
+_NEWTON_PASSES = 5
 
 
 @dataclass(frozen=True)
@@ -264,12 +278,12 @@ def _first_width(degree: int) -> int:
     A pass certifies a sign once its width exceeds the cancellation of
     the value against its largest term by about log2(4 (n + 1)) bits.
     That cancellation grows about linearly in n; over every sign of
-    isolate_zeros with the hints of zero_hints at tol 1e-12 (nu = 0),
-    median / max: 168/265 bits at r = 1 n = 100, 106/482 at r = 3
-    n = 100, 383/1978 at r = 3 n = 400.  This width falls short for 25 %,
-    0.5 % and 36 % of those signs, but each root keeps the width that
-    last certified in each binade (_value), and then 17, 3 and 8 passes
-    of about 950, 1 000 and 3 800 signs double.
+    rescaled_zeros at tol 1e-12 (nu = 0), median / max: 177/262 bits at
+    r = 1 n = 100, 112/482 at r = 3 n = 100, 381/1978 at r = 3 n = 400.
+    This width falls short for 34 %, 0.3 % and 36 % of those signs, but
+    each root keeps the width that last certified in each binade
+    (_value), and then 16, 1 and 9 passes of 301, 301 and 1 201 signs
+    double.
     """
     return 4 * degree // 5 + 128
 
@@ -398,17 +412,19 @@ def _refine(
     (v, g) at the two ends, as both bracket sources return them, and
     `estimate` is a zero estimate (num, shift) for num / 2^shift, or None.
 
-    Quadratic interval refinement: the bracket is cut into N = 2^m equal
-    dyadic cells, a secant through the values at the bracket's ends picks
-    the cell the root should be in, and the signs at that cell's two ends
-    keep it or reject it (a bisection step, m halved).  A secant through
-    the ends of a cell 2^-b as wide as the starting bracket is accurate
-    only to about 2^-b of that cell, so after a kept cell m doubles but
-    is capped at the bits b gained so far, minus one.  An estimate inside
-    the bracket replaces the first secant: it picks the grid point
-    nearest to it among N = 2^_FIRST_CELL_BITS cells, ties to even, and
-    the sign there picks the cell on its side.  No value is taken at the
-    estimate itself.
+    An estimate e comes first: when the window [e - 2^-_WINDOW_BITS,
+    e + 2^-_WINDOW_BITS] lies inside the bracket, the signs at its two
+    ends either change, and the window becomes the bracket, or agree,
+    and keep the part of the bracket on the side they prove.  The window
+    does not depend on tol.
+
+    Then quadratic interval refinement: the bracket is cut into N = 2^m
+    equal dyadic cells, a secant through the values at the bracket's
+    ends picks the cell the root should be in, and the signs at that
+    cell's two ends keep it or reject it (a bisection step, m halved).  A
+    secant through the ends of a cell 2^-b as wide as the starting
+    bracket is accurate only to about 2^-b of that cell, so after a kept
+    cell m doubles but is capped at the bits b gained so far, minus one.
 
     Every sign is certified (_value); the values only approximate, so
     the secant may pick another cell than the exact values would, which
@@ -416,8 +432,9 @@ def _refine(
     reused.  `widths` is this root's own copy of the per-binade widths, so
     the bracket sequence does not depend on tol: tol only says where it
     stops, and a smaller tol refines the same brackets further.  A
-    bracket at 0 is refined until it leaves 0, so the enclosure of a
-    positive root below tol still has lo > 0.
+    bracket is also refined until hi <= 2 lo, so the enclosure of a
+    positive root below tol has lo > 0 and fixes the root within a
+    factor of 2.
 
     The root is interior, but a Descartes bracket may end on a dyadic
     root that is reported on its own.  Such a bracket is bisected until
@@ -437,32 +454,45 @@ def _refine(
         pos_lo = _value(derivative, {}, lo_n, s)[0] > 0
     m, gained = 2, 0
     tol_num, tol_den = tol.numerator, tol.denominator
-    while v_lo == 0 or v_hi == 0 or lo_n == 0 or (hi_n - lo_n) * tol_den > tol_num << s:
+    while v_lo == 0 or v_hi == 0 or hi_n > 2 * lo_n or (hi_n - lo_n) * tol_den > tol_num << s:
+        if v_lo and v_hi and estimate is not None:
+            # the window e -+ 2^-_WINDOW_BITS on the finer of the shifts,
+            # if it lies inside the bracket
+            e_num, e_shift = estimate
+            estimate = None
+            t = max(s, e_shift, _WINDOW_BITS)
+            half = 1 << (t - _WINDOW_BITS)
+            w0 = (e_num << (t - e_shift)) - half
+            w1 = w0 + 2 * half
+            lo_t, hi_t = lo_n << (t - s), hi_n << (t - s)
+            if lo_t < w0 and w1 < hi_t:
+                v0, g0 = _value(poly, widths, w0, t)
+                if v0 == 0:
+                    return _exact_root(w0, t)
+                v1, g1 = _value(poly, widths, w1, t)
+                if v1 == 0:
+                    return _exact_root(w1, t)
+                lo_n, hi_n, s = lo_t, hi_t, t
+                if (v0 > 0) != (v1 > 0):
+                    # a kept cell: the root is inside the window
+                    gained += (hi_n - lo_n).bit_length() - (w1 - w0).bit_length()
+                    lo_n, hi_n, v_lo, g_lo, v_hi, g_hi = w0, w1, v0, g0, v1, g1
+                    m = max(2, min(2 * m, gained - 1))
+                elif (v0 > 0) == pos_lo:
+                    lo_n, v_lo, g_lo = w1, v1, g1
+                else:
+                    hi_n, v_hi, g_hi = w0, v0, g0
+                continue
         if v_lo and v_hi:
             cell = hi_n - lo_n
-            j = None
-            if estimate is not None:
-                # the grid point nearest to the estimate, if it is inside:
-                # j = round(2^m off / span) on the finer of the two shifts
-                e_num, e_shift = estimate
-                t = max(s, e_shift)
-                off = (e_num << (t - e_shift)) - (lo_n << (t - s))
-                span = cell << (t - s)
-                if 0 <= off <= span:
-                    m = _FIRST_CELL_BITS
-                    j, rem = divmod(off << m, span)
-                    if 2 * rem > span or (2 * rem == span and j & 1):
-                        j += 1
-                estimate = None
-            if j is None:
-                # j = round(2^m v_lo / (v_lo - v_hi)), the secant's cell
-                # boundary, from the values aligned to the finer unit 2^g
-                g = min(g_lo, g_hi)
-                a, b = v_lo << (g_lo - g), v_hi << (g_hi - g)
-                num, den = a << m, a - b
-                if den < 0:
-                    num, den = -num, -den
-                j = (2 * num + den) // (2 * den)
+            # j = round(2^m v_lo / (v_lo - v_hi)), the secant's cell
+            # boundary, from the values aligned to the finer unit 2^g
+            g = min(g_lo, g_hi)
+            a, b = v_lo << (g_lo - g), v_hi << (g_hi - g)
+            num, den = a << m, a - b
+            if den < 0:
+                num, den = -num, -den
+            j = (2 * num + den) // (2 * den)
             lo_f, hi_f, shift = lo_n << m, hi_n << m, s + m
             if j == (1 << m):
                 j -= 1  # the cell [N - 1, N] ends at the known upper end
@@ -511,10 +541,13 @@ def isolate_zeros(poly: ExactPolynomial, tol=DEFAULT_TOL, *, hints=None) -> list
     The odd ones are separators: when the certified signs at 0, at the
     separators and at the root bound 2^F change sign n times, they prove
     the roots (_seeded_brackets); otherwise, or without hints, Descartes
-    bisection isolates them.  The even ones are zero estimates, which
-    only choose where the refinement of each bracket starts (_refine):
-    an entry that is not finite or lies outside its bracket is ignored,
-    and no hint decides anything.  Raises DomainError when tol is not a
+    bisection isolates them.  The even ones are zero estimates: the
+    refinement of each bracket first signs the two ends of the window
+    e -+ 2^-44 around its estimate e (_refine), which encloses the root
+    when e is within 2^-44 of it, as most estimates of rescaled_zeros
+    are, and otherwise costs two signs.  An entry that is not finite or
+    whose window does not lie inside its bracket is ignored, and no hint
+    decides anything.  Raises DomainError when tol is not a
     positive finite rational or when there are not 2n - 1 hints,
     NotSquareFree when the polynomial shares a factor with its
     derivative, IsolationFailure when the positive-root count differs
@@ -560,10 +593,68 @@ def isolate_zeros(poly: ExactPolynomial, tol=DEFAULT_TOL, *, hints=None) -> list
 # ---------------------------------------------------------------------------
 # measures built from the zeros
 
+def _predicted_zeros(params: ModelParams, hints) -> np.ndarray:
+    """A copy of `hints` whose even entries, the zero estimates, take Newton passes.
+
+    Each pass runs the recurrence of poly.recurrence_coefficients for
+    u_k = P_k(n^r x) / n^(r k),
+
+        u_(k+1) = (x - beta_(k,0)) u_k - sum_(j=1..r) beta_(k,j) u_(k-j),
+
+    with beta_(k,j) = b_(k,j) / n^(r (j+1)) rounded to doubles, and its
+    derivative in x, in doubles, at the n estimates at once, and moves
+    each estimate by u_n / u_n'.  Only the last r + 1 rows are kept, in a
+    circular buffer; every 8 steps each point's rows are scaled by a power
+    of two, so they stay in range and the ratio is unchanged.  A step
+    that is not finite or leaves the gap between the separators (the odd
+    entries) around its estimate is rejected.  The passes decide
+    nothing: _refine certifies whatever they return.
+    """
+    hints = np.array(hints, dtype=float)
+    n, r = params.n, params.r
+    if n == 0:
+        return hints
+    rows = r + 1
+    powers = [n ** (r * (j + 1)) for j in range(rows)]
+    beta = np.zeros((n, rows))  # step k's coefficients, on the buffer rows they meet
+    for k, row in enumerate(recurrence_coefficients(params)):
+        for j, b in enumerate(row):
+            beta[k, (k - j) % rows] = b / powers[j]
+    x = hints[0::2]
+    m = len(x)
+    lo = np.concatenate(([0.0], hints[1::2]))
+    hi = np.concatenate((hints[1::2], [np.inf]))
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_PASSES):
+            # row k % rows holds u_k, then u_k', at the m points
+            buf = np.zeros((rows, 2 * m))
+            buf[0, :m] = 1.0
+            both = np.concatenate((x, x))
+            for k in range(n):
+                cur, nxt = buf[k % rows], buf[(k + 1) % rows]
+                t = beta[k] @ buf
+                np.multiply(cur, both, out=nxt)
+                nxt -= t
+                nxt[m:] += cur[:m]
+                if k % 8 == 7:
+                    scale = np.ldexp(1.0, -np.frexp(np.abs(buf[:, :m]).max(axis=0))[1])
+                    buf *= np.concatenate((scale, scale))
+            last = buf[n % rows]
+            moved = x - last[:m] / last[m:]
+            x = np.where(np.isfinite(moved) & (lo < moved) & (moved < hi), moved, x)
+    hints[0::2] = x
+    return hints
+
+
 def rescaled_zeros(params: ModelParams, tol=DEFAULT_TOL) -> list[ZeroEnclosure]:
-    """Enclosures of the zeros of F_n(n^r x), with the hints of zero_hints."""
+    """Enclosures of the zeros of F_n(n^r x).
+
+    The hints are zero_hints with the zero estimates polished by
+    _predicted_zeros, so that most roots take only the two signs of
+    _refine's first window.
+    """
     rescaled = rescale_arg(build_f(params), params)
-    return isolate_zeros(rescaled, tol, hints=zero_hints(params))
+    return isolate_zeros(rescaled, tol, hints=_predicted_zeros(params, zero_hints(params)))
 
 
 def rescaled_zero_measure(params: ModelParams, tol=DEFAULT_TOL) -> EmpiricalMeasure:

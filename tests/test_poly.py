@@ -16,6 +16,7 @@ from fctk.poly import (
     eval_bounded,
     eval_exact,
     poly_to_json,
+    recurrence_coefficients,
     rescale_arg,
 )
 
@@ -155,6 +156,50 @@ def test_integer_forms_match_the_fraction_construction(rnu, n):
         assert got.coeffs == want.coeffs
         assert got == want and hash(got) == hash(want)
         assert got.degree == n
+
+
+def _assert_recurrence_reproduces_build_p(r, nu, top):
+    # run x P_k = P_(k+1) + sum_j b_(k,j) P_(k-j) on integer coefficient
+    # lists and compare every P_k, k <= top, with build_p
+    b = recurrence_coefficients(ModelParams(r, nu, top))
+    assert len(b) == top and all(len(row) == r + 1 for row in b)
+    polys = [[1]]
+    for k in range(top):
+        nxt = [0] + polys[k]
+        for j, c in enumerate(b[k]):
+            if j > k:
+                assert c == 0
+                continue
+            for i, a in enumerate(polys[k - j]):
+                nxt[i] -= c * a
+        polys.append(nxt)
+    for k, got in enumerate(polys):
+        assert tuple(got) == build_p(ModelParams(r, nu, k)).integer_form[0], (r, nu, k)
+
+
+@pytest.mark.parametrize("r, nu", [(1, (0,)), (2, (0, 0)), (3, (1, 2, 3)), (3, (2, 4, 5))])
+def test_recurrence_reproduces_build_p(r, nu):
+    _assert_recurrence_reproduces_build_p(r, nu, 60)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda r: st.tuples(st.just(r), st.tuples(*[st.integers(0, 6)] * r))
+    ),
+    st.integers(0, 30),
+)
+def test_recurrence_reproduces_build_p_property(rnu, top):
+    _assert_recurrence_reproduces_build_p(*rnu, top)
+
+
+def test_recurrence_closed_forms():
+    for nu in range(5):
+        b = recurrence_coefficients(ModelParams(1, (nu,), 40))
+        assert b == [(2 * k + nu + 1, k * (k + nu)) for k in range(40)]
+    b = recurrence_coefficients(ModelParams(2, (0, 0), 40))
+    assert b == [(3 * k * k + 3 * k + 1, 3 * k**4, k**3 * (k - 1) ** 3) for k in range(40)]
+    assert recurrence_coefficients(ModelParams(3, (1, 2, 3), 0)) == []
 
 
 def test_polynomials_are_immutable():

@@ -390,25 +390,90 @@ def _count_evaluations(monkeypatch, module=zeros, name="_value"):
 
 
 def test_estimates_cut_evaluations_per_root(monkeypatch):
-    # the six `fctk zeros --ks` jobs of the benchmark: 13.2-16.1 signs per
-    # root from the secant start, 9.3-11.8 from the estimates; every one is
-    # certified by the bounded Horner, none needs the exact one
+    # the six `fctk zeros --ks` jobs of the benchmark, whose estimates
+    # rescaled_zeros polishes by Newton passes on the recurrence: the n + 1
+    # separator signs and two at each root's window, 3.01 signs per root,
+    # and 3.19 at r=3 nu=(1,2,3), where 2 windows miss and QIR runs
+    # (9.5-11.8 per root from the cosine estimates alone, without the
+    # window); every one is certified by the bounded Horner, none needs the
+    # exact one
     calls = _count_evaluations(monkeypatch)
     exact = _count_evaluations(monkeypatch, poly, "_horner")
     n, tol = 100, Fraction(1, 10**12)
+    window = Fraction(2, 2**zeros._WINDOW_BITS)  # the enclosure of a hit
+    misses = 0
     for r in (1, 2, 3):
         for nu in ((0,) * r, tuple(range(1, r + 1))):
             params = ModelParams(r, nu, n)
-            f = _rescaled(params)
             calls[0] = exact[0] = 0
-            enclosures = isolate_zeros(f, tol, hints=zero_hints(params))
-            assert calls[0] <= 12 * n, (params, calls[0] / n)
+            enclosures = zeros.rescaled_zeros(params, tol)
+            assert calls[0] <= 3.2 * n, (params, calls[0] / n)
             assert exact[0] == 0, params
-            check_enclosures(f, enclosures, tol)
+            check_enclosures(_rescaled(params), enclosures, tol)
+            misses += sum(e.width != window for e in enclosures)
+    assert misses <= 2
     # the counter sees the exact Horner that ends a sign at a dyadic root
     exact[0] = 0
     assert zeros._value(ExactPolynomial((9, -38, 40)), {}, 1, 1)[0] == 0
     assert exact[0] == 1
+
+
+def test_predicted_zeros():
+    params = ModelParams(2, (1, 0), 12)
+    hints = zero_hints(params)
+    before = hints.tobytes()
+    predicted = zeros._predicted_zeros(params, hints)
+    assert hints.tobytes() == before  # zero_hints' own array is not touched
+    assert np.array_equal(predicted[1::2], hints[1::2])
+    roots = isolate_zeros(_rescaled(params), Fraction(1, 2**60))
+    assert all(abs(x - float(e.mid)) < 2.0**-44 for x, e in zip(predicted[0::2], roots))
+    # a step that overflows (the top estimate far out) or is nan (a nan
+    # estimate) is rejected, and the other columns are not disturbed
+    bad = hints.copy()
+    bad[-1], bad[0] = 1e300, math.nan
+    got = zeros._predicted_zeros(params, bad)
+    assert got[-1] == 1e300 and math.isnan(got[0])
+    assert np.array_equal(got[2:-1:2], predicted[2:-1:2])
+    tol = Fraction(1, 2**30)
+    check_enclosures(_rescaled(params), isolate_zeros(_rescaled(params), tol, hints=got), tol)
+    # an estimate at a separator, where the slope nearly vanishes, takes
+    # steps that leave its gap, so it stays where it is
+    far = hints.copy()
+    far[2] = hints[1] * (1 + 1e-12)
+    assert zeros._predicted_zeros(params, far)[2] == far[2]
+
+
+@pytest.mark.parametrize("r, nu", [(1, (0,)), (2, (3, 0)), (3, (1, 2, 3)), (4, (5, 0, 2, 1))])
+def test_rescaled_zeros_of_degree_one_and_two(r, nu):
+    tol = Fraction(1, 10**12)
+    one = zeros.rescaled_zeros(ModelParams(r, nu, 1), tol)
+    check_enclosures(_rescaled(ModelParams(r, nu, 1)), one, tol)
+    # F_1(x) = 1 - x / prod_j (1 + nu_j)
+    assert one[0].lo <= math.prod(1 + v for v in nu) <= one[0].hi
+    params = ModelParams(r, nu, 2)
+    two = zeros.rescaled_zeros(params, tol)
+    check_enclosures(_rescaled(params), two, tol)
+    plain = isolate_zeros(_rescaled(params), tol)
+    for a, b in zip(plain, two):
+        assert a.lo <= b.hi and b.lo <= a.hi
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda r: st.tuples(
+            st.just(r), st.tuples(*[st.integers(0, 5)] * r), st.integers(1, 40)
+        )
+    )
+)
+def test_rescaled_zeros_agree_with_descartes(case):
+    params = ModelParams(*case)
+    f = _rescaled(params)
+    tol = zeros.DEFAULT_TOL
+    predicted = zeros.rescaled_zeros(params)
+    check_enclosures(f, predicted, tol)
+    for a, b in zip(isolate_zeros(f, tol), predicted):
+        assert a.lo <= b.hi and b.lo <= a.hi
 
 
 def test_capped_refinement_evaluation_count(monkeypatch):
