@@ -604,9 +604,14 @@ def _predicted_zeros(params: ModelParams, hints) -> np.ndarray:
     with beta_(k,j) = b_(k,j) / n^(r (j+1)) rounded to doubles, and its
     derivative in x, in doubles, at the n estimates at once, and moves
     each estimate by u_n / u_n'.  Only the last r + 1 rows are kept, in a
-    circular buffer; every 8 steps each point's rows are scaled by a power
-    of two, so they stay in range and the ratio is unchanged.  A step
-    that is not finite or leaves the gap between the separators (the odd
+    circular buffer; every 16 steps each point's rows are scaled by a
+    power of two, so they stay in range and the ratio is unchanged.  The
+    sum over j is a product by a column and a sum along the rows in row
+    order, not a BLAS call, whose kernel and rounding depend on the
+    processor: every operation is one correctly rounded ufunc, so the
+    passes return the same doubles on every machine, and so do the sign
+    counts of the refinement that follows them.  A step that is
+    not finite or leaves the gap between the separators (the odd
     entries) around its estimate is rejected.  The passes decide
     nothing: _refine certifies whatever they return.
     """
@@ -616,7 +621,7 @@ def _predicted_zeros(params: ModelParams, hints) -> np.ndarray:
         return hints
     rows = r + 1
     powers = [n ** (r * (j + 1)) for j in range(rows)]
-    beta = np.zeros((n, rows))  # step k's coefficients, on the buffer rows they meet
+    beta = np.zeros((n, rows, 1))  # step k's coefficients, on the buffer rows they meet
     for k, row in enumerate(recurrence_coefficients(params)):
         for j, b in enumerate(row):
             beta[k, (k - j) % rows] = b / powers[j]
@@ -624,23 +629,27 @@ def _predicted_zeros(params: ModelParams, hints) -> np.ndarray:
     m = len(x)
     lo = np.concatenate(([0.0], hints[1::2]))
     hi = np.concatenate((hints[1::2], [np.inf]))
+    # row k % rows holds u_k, then u_k', at the m points
+    buf = np.empty((rows, 2 * m))
+    terms, t = np.empty_like(buf), np.empty(2 * m)
+    full, values, slopes = list(buf), list(buf[:, :m]), list(buf[:, m:])
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_PASSES):
-            # row k % rows holds u_k, then u_k', at the m points
-            buf = np.zeros((rows, 2 * m))
-            buf[0, :m] = 1.0
+            buf.fill(0.0)
+            values[0].fill(1.0)
             both = np.concatenate((x, x))
             for k in range(n):
-                cur, nxt = buf[k % rows], buf[(k + 1) % rows]
-                t = beta[k] @ buf
-                np.multiply(cur, both, out=nxt)
-                nxt -= t
-                nxt[m:] += cur[:m]
-                if k % 8 == 7:
+                c, d = k % rows, (k + 1) % rows
+                np.multiply(beta[k], buf, out=terms)
+                np.add.reduce(terms, axis=0, out=t)
+                np.multiply(full[c], both, out=full[d])
+                np.subtract(full[d], t, out=full[d])
+                np.add(slopes[d], values[c], out=slopes[d])
+                if k % 16 == 15:
                     scale = np.ldexp(1.0, -np.frexp(np.abs(buf[:, :m]).max(axis=0))[1])
                     buf *= np.concatenate((scale, scale))
-            last = buf[n % rows]
-            moved = x - last[:m] / last[m:]
+            u, du = values[n % rows], slopes[n % rows]
+            moved = x - u / du
             x = np.where(np.isfinite(moved) & (lo < moved) & (moved < hi), moved, x)
     hints[0::2] = x
     return hints
