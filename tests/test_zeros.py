@@ -396,7 +396,8 @@ def test_estimates_cut_evaluations_per_root(monkeypatch):
     # and 3.19 at r=3 nu=(1,2,3), where 2 windows miss and QIR runs
     # (9.5-11.8 per root from the cosine estimates alone, without the
     # window); every one is certified by the bounded Horner, none needs the
-    # exact one
+    # exact one.  The estimates are the same doubles on every machine (no
+    # BLAS in _predicted_zeros), so the counts are too.
     calls = _count_evaluations(monkeypatch)
     exact = _count_evaluations(monkeypatch, poly, "_horner")
     n, tol = 100, Fraction(1, 10**12)
