@@ -16,52 +16,48 @@ lo / 2^shift and hi / 2^shift from the certificate to the refinement,
 separators and zero estimates are dyadic pairs (num, shift) (_dyadic),
 and only the returned ZeroEnclosure holds Fractions.
 
-Certificate.  The oscillatory formula puts one zero of F_n(n^r x)
-between consecutive extrema of its cosine approximant.  The hints of
-isolate_zeros (asymptotics.zero_hints) are 2n - 1 increasing floats:
-zero estimates at the even positions and such separators at the odd
-ones.  The isolator takes the signs at 0, at every separator, rounded
-to a short dyadic, and at the root bound 2^F; n strict sign changes of
-a degree-n polynomial prove exactly one simple root in each of those n
-gaps, so no square-free test and no Descartes count is needed.
+Certificate.  The oscillatory formula puts one zero of F_n(n^r x) near
+each zero of its cosine approximant and one between consecutive
+extrema.  The hints of isolate_zeros (asymptotics.zero_hints) are 2n - 1
+increasing floats: zero estimates e at the even positions and such
+separators at the odd ones.  The certificate signs one increasing list
+of dyadic points: 0, the separators rounded to short dyadics, the ends
+of each window e -+ 2^-44 that lies strictly inside its gap between
+them, and the root bound 2^F.  Each point that signs 0 and each pair of
+neighbours with opposite signs holds a root of its own (_sign_changes),
+so n of them prove exactly one simple root in each for a degree-n
+polynomial, with no square-free test and no Descartes count.  A window
+that holds its root is the root's bracket, and one that misses keeps
+the part of the gap its signs prove.  The polished estimates of
+rescaled_zeros (_predicted_zeros) hit almost every window.
 
-Fallback.  A zero sign, a separator that is not finite or not
-increasing, or fewer than n sign changes (offsets large against n move
-the zeros near the hard edge x -> 0 past the separators) fall back to a
-square-free test and Descartes bisection over dyadic intervals (reverse
-the coefficients, Taylor-shift by one, count sign variations).  An
-interval with count one encloses exactly one simple root, and count
-subadditivity under splitting prunes the sibling when the left child
-inherits the full count.  Positive roots are swept in doubling segments (0,1), (1,2),
-(2,4), ... so the bracket never balloons to the Cauchy bound.
-Neighbouring brackets share ends, and each distinct end is signed once.
+Fallback.  A separator that is not finite or not increasing, or fewer
+than n proven roots, fall back to a square-free test and Descartes
+bisection over dyadic intervals (reverse the coefficients, Taylor-shift
+by one, count sign variations).  An interval with count one encloses
+exactly one simple root, and count subadditivity under splitting prunes
+the sibling when the left child inherits the full count.  Positive roots
+are swept in doubling segments (0,1), (1,2), (2,4), ... so the bracket
+never balloons to the Cauchy bound.  A bracket's ends and the window of
+its root inside it form a point list for the same _sign_changes.  One
+memo per call signs each distinct point once (_signer), so neither a
+shared bracket end nor a window the certificate signed is signed again.
 
 Refinement.  Both paths hand the same thing to the refinement: integer
-brackets with the certified values at their ends, each point signed
-once with one shared table of widths, of which every root refines from
-its own copy.  A zero estimate e (an even hint) inside its bracket is
-tested first, by the certified signs at e -+ 2^-44: on a sign change
-that window is the new bracket, and on a miss the two signs keep the
-side of it they prove.  rescaled_zeros polishes the estimates of
-zero_hints by Newton passes on the (r + 2)-term recurrence of the monic
-polynomials (_predicted_zeros), so that most windows hold their root
-and a root at tol 1e-12 costs those two signs.  The refinement
-continues by quadratic interval refinement (J. Abbott, "Quadratic
-interval refinement for real roots", 2006): secant steps on a grid of
-2^m dyadic cells, kept only where the certified signs at a cell's ends
-differ, with a bisection step on a miss.  The secant runs on the
-approximate values, which may pick another cell than the exact ones
-would; that costs evaluations, never a certificate, as does a bad
-estimate.  A secant on a cell 2^-b as wide as the starting bracket is
-accurate to about 2^-b of that cell, so m is capped at the bits b
-gained so far, minus one.  The window does not depend on the tolerance
-and neither does the rest of the bracket sequence: the tolerance only
+brackets with the certified values at their ends, signed with one
+shared table of widths, of which every root refines from its own copy.
+It is quadratic interval refinement (J. Abbott, "Quadratic interval
+refinement for real roots", 2006): secant steps on a grid of 2^m dyadic
+cells, kept only where the certified signs at a cell's ends differ,
+with a bisection step on a miss, and m capped by the bits gained so far
+(_refine).  A secant on approximate values may pick the wrong cell,
+which, like a bad estimate, costs signs, never a certificate.  Neither
+the brackets nor their refinement depend on the tolerance, which only
 decides where it stops.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,10 +81,12 @@ DEFAULT_TOL = Fraction(1, 10**12)
 
 _SQFREE_PRIMES = (2147483647, 2305843009213693951, 4611686018427387847)
 
-# _refine first signs a zero estimate e at e -+ 2^-_WINDOW_BITS
+# each zero estimate e is signed at its window ends e -+ 2^-_WINDOW_BITS
 _WINDOW_BITS = 44
 # Newton passes of the zero predictor (_predicted_zeros)
 _NEWTON_PASSES = 5
+# the values of an exact root lo == hi, which are not signed
+_UNSIGNED = (0, 0), (0, 0)
 
 
 @dataclass(frozen=True)
@@ -282,7 +280,7 @@ def _first_width(degree: int) -> int:
     r = 1 n = 100, 112/482 at r = 3 n = 100, 381/1978 at r = 3 n = 400.
     This width falls short for 34 %, 0.3 % and 36 % of those signs, but
     each root keeps the width that last certified in each binade
-    (_value), and then 16, 1 and 9 passes of 301, 301 and 1 201 signs
+    (_value), and then 4, 1 and 9 passes of 301, 301 and 1 201 signs
     double.
     """
     return 4 * degree // 5 + 128
@@ -315,53 +313,95 @@ def _dyadic(x: float):
     return num, den.bit_length() - 1
 
 
-def _seeded_brackets(poly: ExactPolynomial, widths: dict, separators, fujiwara: int):
-    """One bracket per root from certified signs at 0, the separators and 2^F.
+def _window(x: float):
+    """The ends (num, shift) of x -+ 2^-_WINDOW_BITS for a finite float x, else None."""
+    if not math.isfinite(x):
+        return None
+    num, shift = _dyadic(x)
+    t = max(shift, _WINDOW_BITS)
+    mid, half = num << (t - shift), 1 << (t - _WINDOW_BITS)
+    return (mid - half, t), (mid + half, t)
 
-    Returns ((lo, hi, shift), ((v, g) at lo, (v, g) at hi)) per gap with
-    a strict sign change, or None unless exactly n gaps change sign: n
-    sign changes of a degree-n polynomial prove one simple root in each
-    of those gaps and none elsewhere.  Each double separator is first
-    rounded to a multiple of a power of two at most 1/8 of the gaps
-    beside it: it moves by 1/16 of a gap at most, and the signs at it and
-    at the refinement's grid points, whose cost grows with their bit
-    length, stay cheap.  A rounded separator is exactly num / 2^shift
-    (_dyadic), and each bracket puts its ends on the larger of their two
-    shifts.
+
+def _below(p, q) -> bool:
+    """p < q for dyadic pairs (num, shift)."""
+    return p[0] << q[1] < q[0] << p[1]
+
+
+def _signer(poly: ExactPolynomial, widths: dict):
+    """sign(num, shift): _value at num / 2^shift, memoized on the reduced
+    point, so a point that two brackets share or that both the certificate
+    and the fallback reach is signed once."""
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def sign(num: int, shift: int) -> tuple[int, int]:
+        k = min(shift, (num & -num).bit_length() - 1) if num else shift
+        if (key := (num >> k, shift - k)) not in memo:
+            memo[key] = _value(poly, widths, *key)
+        return memo[key]
+
+    return sign
+
+
+def _sign_changes(sign, points) -> list:
+    """The roots proven by the signs at strictly increasing dyadic points (num, shift).
+
+    A point that signs 0 is an exact root lo == hi (_UNSIGNED values), and
+    neighbours with nonzero values of opposite signs bracket an odd number
+    of roots, with both ends on the larger shift; each entry is
+    ((lo, hi, shift), (value at lo, value at hi)), in order.  Their roots
+    are distinct, so as many entries as roots put one simple root in each.
     """
-    n = poly.degree
+    values = [sign(num, shift) for num, shift in points]
+    found = []
+    # the last point pairs with a sentinel value 0, which brackets nothing
+    for (a, s), (b, t), u, w in zip(points, points[1:] + [(0, 0)], values, values[1:] + [(0, 0)]):
+        if u[0] == 0:
+            found.append(((a, a, s), _UNSIGNED))
+        elif w[0] and (u[0] > 0) != (w[0] > 0):
+            shift = max(s, t)
+            found.append(((a << (shift - s), b << (shift - t), shift), (u, w)))
+    return found
+
+
+def _seeded_brackets(sign, separators, windows, fujiwara: int):
+    """One bracket per root from the signs at 0, the separators, the windows and 2^F.
+
+    Each double separator is first rounded to a multiple of a power of
+    two at most 1/8 of the gaps beside it: it moves by 1/16 of a gap at
+    most, and the signs at it and at the refinement's grid points, whose
+    cost grows with their bit length, stay cheap.  A root's window joins
+    the points when it lies strictly inside its gap.  Returns
+    _sign_changes over the points when it proves n roots, else None.
+    """
     gaps = np.diff(separators, prepend=0.0)
     near = np.minimum(gaps, np.append(gaps[1:], np.inf))
     with np.errstate(divide="ignore", invalid="ignore"):
         # a gap <= 0 or a separator that is not finite yields nan: no certificate
         step = np.exp2(np.floor(np.log2(near / 8)))
         rounded = np.round(separators / step) * step
-    points = [(0, 0), *map(_dyadic, rounded), (1 << fujiwara, 0)]
-    if None in points or any(a << t >= b << s for (a, s), (b, t) in zip(points, points[1:])):
+    bounds = [(0, 0), *map(_dyadic, rounded), (1 << fujiwara, 0)]
+    if None in bounds or not all(map(_below, bounds, bounds[1:])):
         return None
-    values = [_value(poly, widths, num, shift) for num, shift in points]
-    if any(v == 0 for v, _ in values):
-        return None
-    brackets = []
-    for (a, s), (b, t), u, w in zip(points, points[1:], values, values[1:]):
-        if (u[0] > 0) != (w[0] > 0):
-            shift = max(s, t)
-            brackets.append(((a << (shift - s), b << (shift - t), shift), (u, w)))
-    return brackets if len(brackets) == n else None
+    points = [bounds[0]]
+    for window, bound in zip(windows, bounds[1:]):
+        if window and _below(points[-1], window[0]) and _below(window[1], bound):
+            points.extend(window)
+        points.append(bound)
+    brackets = _sign_changes(sign, points)
+    return brackets if len(brackets) == len(windows) else None
 
 
-def _descartes_brackets(poly: ExactPolynomial, widths: dict, fujiwara: int):
+def _descartes_brackets(poly: ExactPolynomial, sign, windows, fujiwara: int):
     """One bracket per root by Descartes bisection, in order, with its end values.
 
-    Returns ((lo, hi, shift), ((v, g) at lo, (v, g) at hi)) per root, as
-    _seeded_brackets does; the ends are lo / 2^shift and hi / 2^shift,
-    and lo == hi is an exact root, whose values are (0, 0) unsigned.
-    Raises IsolationFailure unless there are degree many.  The segments
-    are swept left to right and each one's cells come in order
-    (_isolate01), so an exact root comes before a bracket that starts at
-    it.  Neighbouring brackets share ends, so every distinct end is
-    signed once, with `widths`, keyed on the largest shift of the list;
-    that changes no value, since _value and eval_bounded reduce the point.
+    Returns what _seeded_brackets returns, an exact root lo == hi with
+    _UNSIGNED values, or raises IsolationFailure unless there are degree
+    many.  The segments are swept left to right and each one's cells come
+    in order (_isolate01), so an exact root comes before a bracket that
+    starts at it.  Each bracket's ends are signed; when neither is a root
+    and the root's window lies strictly inside, _sign_changes over the
+    ends and the window gives the root's bracket.
     """
     a = list(poly.integer_form[0])
     n = len(a) - 1
@@ -388,13 +428,15 @@ def _descartes_brackets(poly: ExactPolynomial, widths: dict, fujiwara: int):
         j += 1
     if len(brackets) != n:
         raise IsolationFailure(f"found {len(brackets)} positive simple roots for degree {n}")
-    top = max(s for _, _, s in brackets)
-    sign = functools.cache(lambda num: _value(poly, widths, num, top))
-    exact = (0, 0), (0, 0)
-    return [
-        ((lo, hi, s), exact if lo == hi else (sign(lo << (top - s)), sign(hi << (top - s))))
-        for lo, hi, s in brackets
-    ]
+    found = []
+    for (lo, hi, s), window in zip(brackets, windows):
+        ends = _UNSIGNED if lo == hi else (sign(lo, s), sign(hi, s))
+        points = [(lo, s), *(window or ()), (hi, s)]
+        if ends[0][0] and ends[1][0] and window and all(map(_below, points, points[1:])):
+            found += _sign_changes(sign, points)
+        else:
+            found.append(((lo, hi, s), ends))
+    return found
 
 
 def _exact_root(num: int, shift: int) -> ZeroEnclosure:
@@ -402,23 +444,14 @@ def _exact_root(num: int, shift: int) -> ZeroEnclosure:
     return ZeroEnclosure(x, x)
 
 
-def _refine(
-    poly: ExactPolynomial, widths: dict, bracket, ends, estimate, tol: Fraction
-) -> ZeroEnclosure:
+def _refine(poly: ExactPolynomial, widths: dict, bracket, ends, tol: Fraction) -> ZeroEnclosure:
     """Shrink a bracket (lo, hi, shift) around one simple root below tol (QIR).
 
-    The bracket's ends are lo / 2^shift and hi / 2^shift, and lo == hi is
-    an exact root, returned as it is.  `ends` holds the certified values
-    (v, g) at the two ends, as both bracket sources return them, and
-    `estimate` is a zero estimate (num, shift) for num / 2^shift, or None.
+    The bracket's ends are lo / 2^shift and hi / 2^shift, with the
+    certified values (v, g) there in `ends`; lo == hi is an exact root,
+    returned as it is.
 
-    An estimate e comes first: when the window [e - 2^-_WINDOW_BITS,
-    e + 2^-_WINDOW_BITS] lies inside the bracket, the signs at its two
-    ends either change, and the window becomes the bracket, or agree,
-    and keep the part of the bracket on the side they prove.  The window
-    does not depend on tol.
-
-    Then quadratic interval refinement: the bracket is cut into N = 2^m
+    Quadratic interval refinement: the bracket is cut into N = 2^m
     equal dyadic cells, a secant through the values at the bracket's
     ends picks the cell the root should be in, and the signs at that
     cell's two ends keep it or reject it (a bisection step, m halved).  A
@@ -455,34 +488,6 @@ def _refine(
     m, gained = 2, 0
     tol_num, tol_den = tol.numerator, tol.denominator
     while v_lo == 0 or v_hi == 0 or hi_n > 2 * lo_n or (hi_n - lo_n) * tol_den > tol_num << s:
-        if v_lo and v_hi and estimate is not None:
-            # the window e -+ 2^-_WINDOW_BITS on the finer of the shifts,
-            # if it lies inside the bracket
-            e_num, e_shift = estimate
-            estimate = None
-            t = max(s, e_shift, _WINDOW_BITS)
-            half = 1 << (t - _WINDOW_BITS)
-            w0 = (e_num << (t - e_shift)) - half
-            w1 = w0 + 2 * half
-            lo_t, hi_t = lo_n << (t - s), hi_n << (t - s)
-            if lo_t < w0 and w1 < hi_t:
-                v0, g0 = _value(poly, widths, w0, t)
-                if v0 == 0:
-                    return _exact_root(w0, t)
-                v1, g1 = _value(poly, widths, w1, t)
-                if v1 == 0:
-                    return _exact_root(w1, t)
-                lo_n, hi_n, s = lo_t, hi_t, t
-                if (v0 > 0) != (v1 > 0):
-                    # a kept cell: the root is inside the window
-                    gained += (hi_n - lo_n).bit_length() - (w1 - w0).bit_length()
-                    lo_n, hi_n, v_lo, g_lo, v_hi, g_hi = w0, w1, v0, g0, v1, g1
-                    m = max(2, min(2 * m, gained - 1))
-                elif (v0 > 0) == pos_lo:
-                    lo_n, v_lo, g_lo = w1, v1, g1
-                else:
-                    hi_n, v_hi, g_hi = w0, v0, g0
-                continue
         if v_lo and v_hi:
             cell = hi_n - lo_n
             # j = round(2^m v_lo / (v_lo - v_hi)), the secant's cell
@@ -536,17 +541,15 @@ def isolate_zeros(poly: ExactPolynomial, tol=DEFAULT_TOL, *, hints=None) -> list
     """Disjoint enclosures of all positive roots, exactly degree many.
 
     `hints`, such as asymptotics.zero_hints, are 2n - 1 increasing floats
-    for a degree-n polynomial, one expected near each root at the even
-    positions and one between consecutive roots at the odd positions.
-    The odd ones are separators: when the certified signs at 0, at the
-    separators and at the root bound 2^F change sign n times, they prove
-    the roots (_seeded_brackets); otherwise, or without hints, Descartes
-    bisection isolates them.  The even ones are zero estimates: the
-    refinement of each bracket first signs the two ends of the window
-    e -+ 2^-44 around its estimate e (_refine), which encloses the root
-    when e is within 2^-44 of it, as most estimates of rescaled_zeros
-    are, and otherwise costs two signs.  An entry that is not finite or
-    whose window does not lie inside its bracket is ignored, and no hint
+    for a degree-n polynomial: zero estimates e at the even positions and
+    separators between consecutive roots at the odd ones.  The signs at 0,
+    at the separators, at the window ends e -+ 2^-44 inside their gaps and
+    at the root bound prove the roots when they show n of them
+    (_seeded_brackets); otherwise, or without hints, Descartes bisection
+    does, and signs the windows inside its brackets.  A window that holds
+    its root, as most estimates of rescaled_zeros do, is its bracket, and
+    one that misses costs two signs.  An entry that is not finite or whose
+    window does not lie inside its gap or bracket is ignored, and no hint
     decides anything.  Raises DomainError when tol is not a
     positive finite rational or when there are not 2n - 1 hints,
     NotSquareFree when the polynomial shares a factor with its
@@ -562,13 +565,13 @@ def isolate_zeros(poly: ExactPolynomial, tol=DEFAULT_TOL, *, hints=None) -> list
         raise DomainError(f"tol must be positive, got {tol}")
     n = poly.degree
     if hints is None:
-        separators, estimates = None, [None] * n
+        separators, windows = None, [None] * n
     else:
         hints = np.asarray(hints, dtype=float)
         count = max(2 * n - 1, 0)
         if hints.shape != (count,):
             raise DomainError(f"need {count} hints for degree {n}, got shape {hints.shape}")
-        separators, estimates = hints[1::2], [_dyadic(x) for x in hints[0::2]]
+        separators, windows = hints[1::2], [_window(x) for x in hints[0::2]]
     if n == 0:
         return []
     a = poly.integer_form[0]
@@ -576,18 +579,13 @@ def isolate_zeros(poly: ExactPolynomial, tol=DEFAULT_TOL, *, hints=None) -> list
         raise IsolationFailure("zero constant term: x = 0 is a root, not positive")
     fujiwara = _fujiwara_exponent(a)
     widths: dict[int, int] = {}
-    brackets = (
-        None if separators is None
-        else _seeded_brackets(poly, widths, separators, fujiwara)
-    )
-    if brackets is None:
+    sign = _signer(poly, widths)
+    brackets = separators is not None and _seeded_brackets(sign, separators, windows, fujiwara)
+    if not brackets:
         if not _square_free(a):
             raise NotSquareFree("gcd with the derivative is nonconstant")
-        brackets = _descartes_brackets(poly, widths, fujiwara)
-    return [
-        _refine(poly, dict(widths), bracket, ends, estimate, tol)
-        for (bracket, ends), estimate in zip(brackets, estimates)
-    ]
+        brackets = _descartes_brackets(poly, sign, windows, fujiwara)
+    return [_refine(poly, dict(widths), bracket, ends, tol) for bracket, ends in brackets]
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +611,7 @@ def _predicted_zeros(params: ModelParams, hints) -> np.ndarray:
     counts of the refinement that follows them.  A step that is
     not finite or leaves the gap between the separators (the odd
     entries) around its estimate is rejected.  The passes decide
-    nothing: _refine certifies whatever they return.
+    nothing: the certificate signs whatever they return.
     """
     hints = np.array(hints, dtype=float)
     n, r = params.n, params.r
@@ -660,7 +658,7 @@ def rescaled_zeros(params: ModelParams, tol=DEFAULT_TOL) -> list[ZeroEnclosure]:
 
     The hints are zero_hints with the zero estimates polished by
     _predicted_zeros, so that most roots take only the two signs of
-    _refine's first window.
+    their window.
     """
     rescaled = rescale_arg(build_f(params), params)
     return isolate_zeros(rescaled, tol, hints=_predicted_zeros(params, zero_hints(params)))

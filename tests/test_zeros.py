@@ -142,12 +142,13 @@ def test_isolation_failure_on_complex_or_negative_roots():
 def test_refinement_contract():
     # the bracket sequence does not depend on tol, so halving tol only nests
     # (every tol here is below the smallest root, about 3e-4)
-    # (the estimates only pick where each refinement starts, not the tol)
+    # (the estimates only pick where each refinement starts, not the tol;
+    # 2^-60 is below the 2^-43 width of a window, so QIR continues a hit)
     cases = ((ModelParams(1, (1,), 6), False), (ModelParams(2, (1, 2), 30), True))
     for params, seeded in cases:
         f = _rescaled(params)
         hints = zero_hints(params) if seeded else None
-        for k in (12, 20, 40):
+        for k in (12, 20, 40, 60):
             tol = Fraction(1, 2**k)
             wide = isolate_zeros(f, tol, hints=hints)
             narrow = isolate_zeros(f, tol / 2, hints=hints)
@@ -234,10 +235,56 @@ def test_fallback_when_a_separator_is_a_root(monkeypatch):
     assert [(e.lo, e.hi) for e in enc] == [(1, 1), (2, 2)]
 
 
+def test_windows_certify_near_the_hard_edge(monkeypatch):
+    # large offsets against n move the smallest zeros past the separators;
+    # the windows of the polished estimates still prove every root, where
+    # the separators alone fall back to Descartes at each of these n
+    calls = _count_fallbacks(monkeypatch)
+    tol = zeros.DEFAULT_TOL
+    cases = [((5, 5, 5), n) for n in (*range(4, 19), 53, 60, 63, 73, 75, 83, 87)]
+    cases += [((5, 5), n) for n in (63, 65, 82)]
+    for nu, n in cases:
+        params = ModelParams(len(nu), nu, n)
+        check_enclosures(_rescaled(params), zeros.rescaled_zeros(params, tol), tol)
+        assert not calls, params
+
+
+def test_root_on_a_window_end(monkeypatch):
+    # (2^44 x - (2^44 - 1))(x - 3): the estimate 1 puts the root 1 - 2^-44
+    # on its window's lower end, which signs 0 and is an exact root; with a
+    # separator that is not finite the fallback finds it too
+    calls = _count_fallbacks(monkeypatch)
+    big = 2**44
+    f = ExactPolynomial((3 * (big - 1), 1 - 4 * big, big))
+    root = Fraction(big - 1, big)
+    tol = zeros.DEFAULT_TOL
+    for separator, fallbacks in ((2.0, 0), (math.nan, 1)):
+        enc = isolate_zeros(f, tol, hints=[1.0, separator, 3.0])
+        check_enclosures(f, enc, tol)
+        assert (enc[0].lo, enc[0].hi) == (root, root)
+        assert enc[1].lo < 3 < enc[1].hi
+        assert len(calls) == fallbacks
+
+
+def test_fallback_keeps_its_windows(monkeypatch):
+    # r=2 nu=(50,50) n=100 falls back to Descartes; its brackets still take
+    # the windows, which the failed certificate has signed already: 1 573
+    # signs, against 1 414 with windows in the refinement and 1 704 with no
+    # windows in the fallback; the bound is 1 414 + 2n
+    calls = _count_fallbacks(monkeypatch)
+    signs = _count_evaluations(monkeypatch)
+    params = ModelParams(2, (50, 50), 100)
+    tol = zeros.DEFAULT_TOL
+    check_enclosures(_rescaled(params), zeros.rescaled_zeros(params, tol), tol)
+    assert len(calls) == 1
+    assert signs[0] <= 1_614
+
+
 def test_fallback_when_separators_are_not_usable(monkeypatch):
     calls = _count_fallbacks(monkeypatch)
-    # the fallback still takes the estimates, so its enclosures are proven
-    # and overlap the hint-free ones, not equal to them
+    # the fallback still signs the estimates' windows inside its Descartes
+    # brackets, so its enclosures are proven and overlap the hint-free
+    # ones, not equal to them
     params = ModelParams(2, (1, 0), 12)
     f = _rescaled(params)
     hints = zero_hints(params)
@@ -391,12 +438,12 @@ def _count_evaluations(monkeypatch, module=zeros, name="_value"):
 
 def test_estimates_cut_evaluations_per_root(monkeypatch):
     # the six `fctk zeros --ks` jobs of the benchmark, whose estimates
-    # rescaled_zeros polishes by Newton passes on the recurrence: the n + 1
-    # separator signs and two at each root's window, 3.01 signs per root,
-    # and 3.19 at r=3 nu=(1,2,3), where 2 windows miss and QIR runs
-    # (9.5-11.8 per root from the cosine estimates alone, without the
-    # window); every one is certified by the bounded Horner, none needs the
-    # exact one.  The estimates are the same doubles on every machine (no
+    # rescaled_zeros polishes by Newton passes on the recurrence: the
+    # certificate signs the n + 1 separators and two window ends per root,
+    # 3.01 signs per root, and 3.19 at r=3 nu=(1,2,3), where 2 windows miss
+    # and QIR runs from the part of the gap their signs prove (9.5-11.8 per
+    # root from the cosine estimates alone, without the windows); every one
+    # is certified by the bounded Horner, none needs the exact one.  The estimates are the same doubles on every machine (no
     # BLAS in _predicted_zeros), so the counts are too.
     calls = _count_evaluations(monkeypatch)
     exact = _count_evaluations(monkeypatch, poly, "_horner")
