@@ -144,19 +144,14 @@ def cosine_approximant(params: ModelParams, c: PhiCoordinate) -> float:
 
 
 def zero_hints(params: ModelParams) -> np.ndarray:
-    """The hints of zeros.isolate_zeros for F_n(n^r x), from the cosine approximant.
+    """The hints of zeros.isolate_zeros for F_n(n^r x): n zero estimates.
 
     The phase n f - g runs from -pi/4 at phi = 0 past n pi at
-    phi = pi/(r+1), and one call of geometry.solve_phi finds its 2n - 1
-    crossings of j pi/2, j = 1..2n-1, returned as the increasing points
-    x = rho(phi_j), with no rounding.  The odd j, where the cosine
-    vanishes, give the even positions: n estimates of the zeros
-    themselves.  The even j = 2k give the odd positions, the separators
-    x_k with n f(phi_k) - g(phi_k) = k pi, k = 1..n-1: the extrema of
-    cosine_approximant, so the oscillatory formula puts one zero in each
-    gap between consecutive separators, one below the first and one
-    above the last.  zeros.isolate_zeros proves or rejects them by
-    certified signs.
+    phi = pi/(r+1), and one call of geometry.solve_phi finds its n
+    crossings of (2k - 1) pi/2, k = 1..n, where cosine_approximant
+    vanishes, returned as the increasing points x = rho(phi_k), with no
+    rounding.  The oscillatory formula puts one zero of F_n(n^r x) near
+    each; zeros.isolate_zeros proves or rejects them by certified signs.
     """
     r, n, nu = params.r, params.n, params.nu
 
@@ -170,7 +165,7 @@ def zero_hints(params: ModelParams) -> np.ndarray:
         )
         return value, slope
 
-    phi = geometry.solve_phi(r, phase, np.pi / 2 * np.arange(1, 2 * n))
+    phi = geometry.solve_phi(r, phase, np.pi / 2 * np.arange(1, 2 * n, 2))
     return geometry.rho_at(r, phi, np)[::-1]
 
 

@@ -17,22 +17,23 @@ separators and zero estimates are dyadic pairs (num, shift) (_dyadic),
 and only the returned ZeroEnclosure holds Fractions.
 
 Certificate.  The oscillatory formula puts one zero of F_n(n^r x) near
-each zero of its cosine approximant and one between consecutive
-extrema.  The hints of isolate_zeros (asymptotics.zero_hints) are 2n - 1
-increasing floats: zero estimates e at the even positions and such
-separators at the odd ones.  The certificate signs one increasing list
-of dyadic points: 0, the separators rounded to short dyadics, the ends
-of each window e -+ 2^-44 that lies strictly inside its gap between
-them, and the root bound 2^F.  Each point that signs 0 and each pair of
+each zero of its cosine approximant.  The hints of isolate_zeros
+(asymptotics.zero_hints) are n increasing zero estimates e, and the
+separators between consecutive roots are the exact dyadic midpoints of
+consecutive estimates, by integer shifts alone.  The certificate signs
+one increasing list of dyadic points: 0, the separators, the ends of
+each window e -+ 2^-44 that lies strictly inside its gap between them,
+and the root bound 2^F.  Each point that signs 0 and each pair of
 neighbours with opposite signs holds a root of its own (_sign_changes),
 so n of them prove exactly one simple root in each for a degree-n
 polynomial, with no square-free test and no Descartes count.  A window
-that holds its root is the root's bracket, and one that misses keeps
-the part of the gap its signs prove.  The polished estimates of
-rescaled_zeros (_predicted_zeros) hit almost every window.
+that holds its root is the root's bracket, and one that misses keeps the
+part of the gap its signs prove.  The polished estimates of
+rescaled_zeros (_predicted_zeros) hit almost every window, so a
+separator rarely ends a bracket, and rounding it saves nothing.
 
-Fallback.  A separator that is not finite or not increasing, or fewer
-than n proven roots, fall back to a square-free test and Descartes
+Fallback.  Estimates that are not finite and strictly increasing, or
+fewer than n proven roots, fall back to a square-free test and Descartes
 bisection over dyadic intervals (reverse the coefficients, Taylor-shift
 by one, count sign variations).  An interval with count one encloses
 exactly one simple root, and count subadditivity under splitting prunes
@@ -44,16 +45,17 @@ memo per call signs each distinct point once (_signer), so neither a
 shared bracket end nor a window the certificate signed is signed again.
 
 Refinement.  Both paths hand the same thing to the refinement: integer
-brackets with the certified values at their ends, signed with one
-shared table of widths, of which every root refines from its own copy.
-It is quadratic interval refinement (J. Abbott, "Quadratic interval
+brackets with the certified values at their ends, signed with one shared
+table of widths, of which every root refines from its own copy.  It is
+quadratic interval refinement (J. Abbott, "Quadratic interval
 refinement for real roots", 2006): secant steps on a grid of 2^m dyadic
-cells, kept only where the certified signs at a cell's ends differ,
-with a bisection step on a miss, and m capped by the bits gained so far
-(_refine).  A secant on approximate values may pick the wrong cell,
-which, like a bad estimate, costs signs, never a certificate.  Neither
-the brackets nor their refinement depend on the tolerance, which only
-decides where it stops.
+cells, kept only where the certified signs at a cell's ends differ, with
+a bisection step on a miss, and m capped by the bits gained so far
+(_refine), of which a hit window brings those it gained over its gap.  A
+secant on approximate values may pick the wrong cell, which, like a bad
+estimate, costs signs, never a certificate.  Neither the brackets nor
+their refinement depend on the tolerance, which only decides where it
+stops.
 """
 
 from __future__ import annotations
@@ -277,10 +279,10 @@ def _first_width(degree: int) -> int:
     the value against its largest term by about log2(4 (n + 1)) bits.
     That cancellation grows about linearly in n; over every sign of
     rescaled_zeros at tol 1e-12 (nu = 0), median / max: 177/262 bits at
-    r = 1 n = 100, 112/482 at r = 3 n = 100, 381/1978 at r = 3 n = 400.
-    This width falls short for 34 %, 0.3 % and 36 % of those signs, but
+    r = 1 n = 100, 112/195 at r = 3 n = 100, 380/693 at r = 3 n = 400.
+    This width falls short for 32 %, 0 % and 36 % of those signs, but
     each root keeps the width that last certified in each binade
-    (_value), and then 4, 1 and 9 passes of 301, 301 and 1 201 signs
+    (_value), and then 3, 0 and 8 passes of 301, 301 and 1 201 signs
     double.
     """
     return 4 * degree // 5 + 128
@@ -313,19 +315,29 @@ def _dyadic(x: float):
     return num, den.bit_length() - 1
 
 
-def _window(x: float):
-    """The ends (num, shift) of x -+ 2^-_WINDOW_BITS for a finite float x, else None."""
-    if not math.isfinite(x):
-        return None
-    num, shift = _dyadic(x)
-    t = max(shift, _WINDOW_BITS)
-    mid, half = num << (t - shift), 1 << (t - _WINDOW_BITS)
-    return (mid - half, t), (mid + half, t)
+def _aligned(p, q) -> tuple[int, int, int]:
+    """(a, b, t) with p = a / 2^t and q = b / 2^t for dyadic pairs (num, shift)."""
+    t = max(p[1], q[1])
+    return p[0] << (t - p[1]), q[0] << (t - q[1]), t
 
 
 def _below(p, q) -> bool:
     """p < q for dyadic pairs (num, shift)."""
     return p[0] << q[1] < q[0] << p[1]
+
+
+def _window(e):
+    """The ends (num, shift) of e -+ 2^-_WINDOW_BITS for a dyadic pair e, else None."""
+    if e is None:
+        return None
+    mid, half, t = _aligned(e, (1, _WINDOW_BITS))
+    return (mid - half, t), (mid + half, t)
+
+
+def _window_gain(lo, hi) -> int:
+    """The bits a window gains over the gap lo < hi, floor(log2((hi - lo) / 2^-43))."""
+    a, b, t = _aligned(lo, hi)
+    return (b - a).bit_length() - 2 - t + _WINDOW_BITS
 
 
 def _signer(poly: ExactPolynomial, widths: dict):
@@ -343,56 +355,54 @@ def _signer(poly: ExactPolynomial, widths: dict):
     return sign
 
 
-def _sign_changes(sign, points) -> list:
+def _sign_changes(sign, points, gains) -> list:
     """The roots proven by the signs at strictly increasing dyadic points (num, shift).
 
     A point that signs 0 is an exact root lo == hi (_UNSIGNED values), and
     neighbours with nonzero values of opposite signs bracket an odd number
-    of roots, with both ends on the larger shift; each entry is
-    ((lo, hi, shift), (value at lo, value at hi)), in order.  Their roots
-    are distinct, so as many entries as roots put one simple root in each.
+    of roots.  Each entry is ((lo, hi, shift), (value at lo, value at hi),
+    the bits gains[lo] of a window that starts at lo, else 0), in order;
+    their roots are distinct, so as many entries as roots put one simple
+    root in each.
     """
     values = [sign(num, shift) for num, shift in points]
     found = []
     # the last point pairs with a sentinel value 0, which brackets nothing
-    for (a, s), (b, t), u, w in zip(points, points[1:] + [(0, 0)], values, values[1:] + [(0, 0)]):
+    for p, q, u, w in zip(points, points[1:] + [(0, 0)], values, values[1:] + [(0, 0)]):
         if u[0] == 0:
-            found.append(((a, a, s), _UNSIGNED))
+            found.append((_aligned(p, p), _UNSIGNED, 0))
         elif w[0] and (u[0] > 0) != (w[0] > 0):
-            shift = max(s, t)
-            found.append(((a << (shift - s), b << (shift - t), shift), (u, w)))
+            found.append((_aligned(p, q), (u, w), gains.get(p, 0)))
     return found
 
 
-def _seeded_brackets(sign, separators, windows, fujiwara: int):
+def _seeded_brackets(sign, estimates, fujiwara: int):
     """One bracket per root from the signs at 0, the separators, the windows and 2^F.
 
-    Each double separator is first rounded to a multiple of a power of
-    two at most 1/8 of the gaps beside it: it moves by 1/16 of a gap at
-    most, and the signs at it and at the refinement's grid points, whose
-    cost grows with their bit length, stay cheap.  A root's window joins
-    the points when it lies strictly inside its gap.  Returns
-    _sign_changes over the points when it proves n roots, else None.
+    The zero estimates must be finite and strictly increasing, and the
+    separators, the exact midpoints of consecutive ones by integer shifts
+    alone, must lie in (0, 2^F).  A root's window joins the points when
+    it lies strictly inside its gap between them, and carries the bits it
+    gains over that gap (_window_gain).  Returns _sign_changes over the
+    points when it proves n roots, else None.
     """
-    gaps = np.diff(separators, prepend=0.0)
-    near = np.minimum(gaps, np.append(gaps[1:], np.inf))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a gap <= 0 or a separator that is not finite yields nan: no certificate
-        step = np.exp2(np.floor(np.log2(near / 8)))
-        rounded = np.round(separators / step) * step
-    bounds = [(0, 0), *map(_dyadic, rounded), (1 << fujiwara, 0)]
-    if None in bounds or not all(map(_below, bounds, bounds[1:])):
+    if None in estimates or not all(map(_below, estimates, estimates[1:])):
         return None
-    points = [bounds[0]]
-    for window, bound in zip(windows, bounds[1:]):
-        if window and _below(points[-1], window[0]) and _below(window[1], bound):
+    midpoints = ((a + b, t + 1) for a, b, t in map(_aligned, estimates, estimates[1:]))
+    bounds = [(0, 0), *midpoints, (1 << fujiwara, 0)]
+    if not all(map(_below, bounds, bounds[1:])):
+        return None
+    points, gains = [bounds[0]], {}
+    for window, lo, hi in zip(map(_window, estimates), bounds, bounds[1:]):
+        if _below(lo, window[0]) and _below(window[1], hi):
+            gains[window[0]] = _window_gain(lo, hi)
             points.extend(window)
-        points.append(bound)
-    brackets = _sign_changes(sign, points)
-    return brackets if len(brackets) == len(windows) else None
+        points.append(hi)
+    brackets = _sign_changes(sign, points, gains)
+    return brackets if len(brackets) == len(estimates) else None
 
 
-def _descartes_brackets(poly: ExactPolynomial, sign, windows, fujiwara: int):
+def _descartes_brackets(poly: ExactPolynomial, sign, estimates, fujiwara: int):
     """One bracket per root by Descartes bisection, in order, with its end values.
 
     Returns what _seeded_brackets returns, an exact root lo == hi with
@@ -401,7 +411,7 @@ def _descartes_brackets(poly: ExactPolynomial, sign, windows, fujiwara: int):
     in order (_isolate01), so an exact root comes before a bracket that
     starts at it.  Each bracket's ends are signed; when neither is a root
     and the root's window lies strictly inside, _sign_changes over the
-    ends and the window gives the root's bracket.
+    ends and the window gives the root's bracket, with the bits it gains.
     """
     a = list(poly.integer_form[0])
     n = len(a) - 1
@@ -429,13 +439,13 @@ def _descartes_brackets(poly: ExactPolynomial, sign, windows, fujiwara: int):
     if len(brackets) != n:
         raise IsolationFailure(f"found {len(brackets)} positive simple roots for degree {n}")
     found = []
-    for (lo, hi, s), window in zip(brackets, windows):
+    for (lo, hi, s), window in zip(brackets, map(_window, estimates)):
         ends = _UNSIGNED if lo == hi else (sign(lo, s), sign(hi, s))
         points = [(lo, s), *(window or ()), (hi, s)]
         if ends[0][0] and ends[1][0] and window and all(map(_below, points, points[1:])):
-            found += _sign_changes(sign, points)
+            found += _sign_changes(sign, points, {window[0]: _window_gain((lo, s), (hi, s))})
         else:
-            found.append(((lo, hi, s), ends))
+            found.append(((lo, hi, s), ends, 0))
     return found
 
 
@@ -444,7 +454,7 @@ def _exact_root(num: int, shift: int) -> ZeroEnclosure:
     return ZeroEnclosure(x, x)
 
 
-def _refine(poly: ExactPolynomial, widths: dict, bracket, ends, tol: Fraction) -> ZeroEnclosure:
+def _refine(poly: ExactPolynomial, widths: dict, bracket, ends, gained, tol) -> ZeroEnclosure:
     """Shrink a bracket (lo, hi, shift) around one simple root below tol (QIR).
 
     The bracket's ends are lo / 2^shift and hi / 2^shift, with the
@@ -458,6 +468,8 @@ def _refine(poly: ExactPolynomial, widths: dict, bracket, ends, tol: Fraction) -
     secant through the ends of a cell 2^-b as wide as the starting
     bracket is accurate only to about 2^-b of that cell, so after a kept
     cell m doubles but is capped at the bits b gained so far, minus one.
+    A hit window brings the bits `gained` over its gap (else 0), and m
+    starts at max(2, min(4, gained - 1)), as after one kept cell of 4.
 
     Every sign is certified (_value); the values only approximate, so
     the secant may pick another cell than the exact values would, which
@@ -485,7 +497,7 @@ def _refine(poly: ExactPolynomial, widths: dict, bracket, ends, tol: Fraction) -
         ints = poly.integer_form[0]
         derivative = ExactPolynomial([k * c for k, c in enumerate(ints)][1:])
         pos_lo = _value(derivative, {}, lo_n, s)[0] > 0
-    m, gained = 2, 0
+    m = max(2, min(4, gained - 1))
     tol_num, tol_den = tol.numerator, tol.denominator
     while v_lo == 0 or v_hi == 0 or hi_n > 2 * lo_n or (hi_n - lo_n) * tol_den > tol_num << s:
         if v_lo and v_hi:
@@ -540,22 +552,22 @@ def _refine(poly: ExactPolynomial, widths: dict, bracket, ends, tol: Fraction) -
 def isolate_zeros(poly: ExactPolynomial, tol=DEFAULT_TOL, *, hints=None) -> list[ZeroEnclosure]:
     """Disjoint enclosures of all positive roots, exactly degree many.
 
-    `hints`, such as asymptotics.zero_hints, are 2n - 1 increasing floats
-    for a degree-n polynomial: zero estimates e at the even positions and
-    separators between consecutive roots at the odd ones.  The signs at 0,
-    at the separators, at the window ends e -+ 2^-44 inside their gaps and
-    at the root bound prove the roots when they show n of them
-    (_seeded_brackets); otherwise, or without hints, Descartes bisection
-    does, and signs the windows inside its brackets.  A window that holds
-    its root, as most estimates of rescaled_zeros do, is its bracket, and
-    one that misses costs two signs.  An entry that is not finite or whose
-    window does not lie inside its gap or bracket is ignored, and no hint
-    decides anything.  Raises DomainError when tol is not a
-    positive finite rational or when there are not 2n - 1 hints,
-    NotSquareFree when the polynomial shares a factor with its
-    derivative, IsolationFailure when the positive-root count differs
-    from the degree (both contradict the expected simple-positive-root
-    structure and must stop the caller, never be absorbed silently).
+    `hints`, such as asymptotics.zero_hints, are n increasing zero
+    estimates e for a degree-n polynomial.  The signs at 0, at the exact
+    midpoints of consecutive estimates, at the window ends e -+ 2^-44
+    inside their gaps and at the root bound prove the roots when they show
+    n of them (_seeded_brackets); otherwise, or without hints, Descartes
+    bisection does, and signs the windows inside its brackets.  A window
+    that holds its root, as most estimates of rescaled_zeros do, is its
+    bracket, and one that misses costs two signs.  A window that is not
+    finite or not inside its gap or bracket is ignored, and no hint
+    decides anything.  Raises DomainError
+    when tol is not a positive finite rational or when the hints do not
+    have shape (n,), NotSquareFree when the polynomial shares a factor
+    with its derivative, IsolationFailure when the positive-root count
+    differs from the degree (both contradict the expected
+    simple-positive-root structure and must stop the caller, never be
+    absorbed silently).
     """
     try:
         tol = Fraction(tol)
@@ -564,14 +576,10 @@ def isolate_zeros(poly: ExactPolynomial, tol=DEFAULT_TOL, *, hints=None) -> list
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
     n = poly.degree
-    if hints is None:
-        separators, windows = None, [None] * n
-    else:
-        hints = np.asarray(hints, dtype=float)
-        count = max(2 * n - 1, 0)
-        if hints.shape != (count,):
-            raise DomainError(f"need {count} hints for degree {n}, got shape {hints.shape}")
-        separators, windows = hints[1::2], [_window(x) for x in hints[0::2]]
+    hints = np.full(n, np.nan) if hints is None else np.asarray(hints, dtype=float)
+    if hints.shape != (n,):
+        raise DomainError(f"need {n} hints for degree {n}, got shape {hints.shape}")
+    estimates = [_dyadic(x) for x in hints]
     if n == 0:
         return []
     a = poly.integer_form[0]
@@ -580,19 +588,19 @@ def isolate_zeros(poly: ExactPolynomial, tol=DEFAULT_TOL, *, hints=None) -> list
     fujiwara = _fujiwara_exponent(a)
     widths: dict[int, int] = {}
     sign = _signer(poly, widths)
-    brackets = separators is not None and _seeded_brackets(sign, separators, windows, fujiwara)
+    brackets = _seeded_brackets(sign, estimates, fujiwara)
     if not brackets:
         if not _square_free(a):
             raise NotSquareFree("gcd with the derivative is nonconstant")
-        brackets = _descartes_brackets(poly, sign, windows, fujiwara)
-    return [_refine(poly, dict(widths), bracket, ends, tol) for bracket, ends in brackets]
+        brackets = _descartes_brackets(poly, sign, estimates, fujiwara)
+    return [_refine(poly, dict(widths), *entry, tol) for entry in brackets]
 
 
 # ---------------------------------------------------------------------------
 # measures built from the zeros
 
-def _predicted_zeros(params: ModelParams, hints) -> np.ndarray:
-    """A copy of `hints` whose even entries, the zero estimates, take Newton passes.
+def _predicted_zeros(params: ModelParams, estimates) -> np.ndarray:
+    """The n zero estimates polished by Newton passes, as a new array.
 
     Each pass runs the recurrence of poly.recurrence_coefficients for
     u_k = P_k(n^r x) / n^(r k),
@@ -609,29 +617,27 @@ def _predicted_zeros(params: ModelParams, hints) -> np.ndarray:
     processor: every operation is one correctly rounded ufunc, so the
     passes return the same doubles on every machine, and so do the sign
     counts of the refinement that follows them.  A step that is
-    not finite or leaves the gap between the separators (the odd
-    entries) around its estimate is rejected.  The passes decide
-    nothing: the certificate signs whatever they return.
+    not finite or leaves its estimate's gap, between the double midpoints
+    of the estimates given and 0 and +inf at the ends, is rejected.  The
+    passes decide nothing: the certificate signs whatever they return.
     """
-    hints = np.array(hints, dtype=float)
+    x = np.array(estimates, dtype=float)
     n, r = params.n, params.r
     if n == 0:
-        return hints
+        return x
     rows = r + 1
     powers = [n ** (r * (j + 1)) for j in range(rows)]
     beta = np.zeros((n, rows, 1))  # step k's coefficients, on the buffer rows they meet
     for k, row in enumerate(recurrence_coefficients(params)):
         for j, b in enumerate(row):
             beta[k, (k - j) % rows] = b / powers[j]
-    x = hints[0::2]
-    m = len(x)
-    lo = np.concatenate(([0.0], hints[1::2]))
-    hi = np.concatenate((hints[1::2], [np.inf]))
-    # row k % rows holds u_k, then u_k', at the m points
-    buf = np.empty((rows, 2 * m))
-    terms, t = np.empty_like(buf), np.empty(2 * m)
-    full, values, slopes = list(buf), list(buf[:, :m]), list(buf[:, m:])
+    # row k % rows holds u_k, then u_k', at the n points
+    buf = np.empty((rows, 2 * n))
+    terms, t = np.empty_like(buf), np.empty(2 * n)
+    full, values, slopes = list(buf), list(buf[:, :n]), list(buf[:, n:])
     with np.errstate(all="ignore"):
+        mid = (x[:-1] + x[1:]) / 2
+        lo, hi = np.append(0.0, mid), np.append(mid, np.inf)
         for _ in range(_NEWTON_PASSES):
             buf.fill(0.0)
             values[0].fill(1.0)
@@ -644,19 +650,18 @@ def _predicted_zeros(params: ModelParams, hints) -> np.ndarray:
                 np.subtract(full[d], t, out=full[d])
                 np.add(slopes[d], values[c], out=slopes[d])
                 if k % 16 == 15:
-                    scale = np.ldexp(1.0, -np.frexp(np.abs(buf[:, :m]).max(axis=0))[1])
+                    scale = np.ldexp(1.0, -np.frexp(np.abs(buf[:, :n]).max(axis=0))[1])
                     buf *= np.concatenate((scale, scale))
             u, du = values[n % rows], slopes[n % rows]
             moved = x - u / du
             x = np.where(np.isfinite(moved) & (lo < moved) & (moved < hi), moved, x)
-    hints[0::2] = x
-    return hints
+    return x
 
 
 def rescaled_zeros(params: ModelParams, tol=DEFAULT_TOL) -> list[ZeroEnclosure]:
     """Enclosures of the zeros of F_n(n^r x).
 
-    The hints are zero_hints with the zero estimates polished by
+    The hints are the zero estimates of zero_hints polished by
     _predicted_zeros, so that most roots take only the two signs of
     their window.
     """

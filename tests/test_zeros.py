@@ -173,12 +173,12 @@ def _count_fallbacks(monkeypatch):
 def test_separators_interleave_the_zeros():
     for params in (ModelParams(1, (0,), 30), ModelParams(3, (1, 2, 3), 40)):
         hints = zero_hints(params)
-        assert len(hints) == 2 * params.n - 1
+        assert len(hints) == params.n
         assert all(0 < a < b for a, b in zip(hints, hints[1:]))
         roots = isolate_zeros(_rescaled(params), Fraction(1, 2**30))
-        # the separators, at the odd positions, split the roots one per gap
-        for left, sep, right in zip(roots, hints[1::2], roots[1:]):
-            assert left.hi < sep < right.lo
+        # the midpoints of consecutive estimates split the roots one per gap
+        for left, a, b, right in zip(roots, hints, hints[1:], roots[1:]):
+            assert left.hi < (Fraction(a) + Fraction(b)) / 2 < right.lo
     assert len(zero_hints(ModelParams(2, (0, 0), 1))) == 1
     assert len(zero_hints(ModelParams(2, (0, 0), 0))) == 0
 
@@ -228,11 +228,14 @@ def test_fallback_when_separators_do_not_certify(monkeypatch):
 
 
 def test_fallback_when_a_separator_is_a_root(monkeypatch):
+    # the midpoint 1 of the estimates 0.5 and 1.5 signs 0: an exact root of
+    # the certificate, which proves the other root above it, no fallback
     calls = _count_fallbacks(monkeypatch)
     f2 = ExactPolynomial((2, -3, 1))  # (1 - x)(2 - x)
-    enc = isolate_zeros(f2, hints=[0.5, 1.0, 3.0])
-    assert len(calls) == 1
-    assert [(e.lo, e.hi) for e in enc] == [(1, 1), (2, 2)]
+    enc = isolate_zeros(f2, hints=[0.5, 1.5])
+    assert len(calls) == 0
+    assert (enc[0].lo, enc[0].hi) == (1, 1)
+    check_enclosures(f2, enc, zeros.DEFAULT_TOL)
 
 
 def test_windows_certify_near_the_hard_edge(monkeypatch):
@@ -241,7 +244,7 @@ def test_windows_certify_near_the_hard_edge(monkeypatch):
     # the separators alone fall back to Descartes at each of these n
     calls = _count_fallbacks(monkeypatch)
     tol = zeros.DEFAULT_TOL
-    cases = [((5, 5, 5), n) for n in (*range(4, 19), 53, 60, 63, 73, 75, 83, 87)]
+    cases = [((5, 5, 5), n) for n in (*range(3, 19), 53, 60, 63, 73, 75, 83, 87)]
     cases += [((5, 5), n) for n in (63, 65, 82)]
     for nu, n in cases:
         params = ModelParams(len(nu), nu, n)
@@ -251,24 +254,24 @@ def test_windows_certify_near_the_hard_edge(monkeypatch):
 
 def test_root_on_a_window_end(monkeypatch):
     # (2^44 x - (2^44 - 1))(x - 3): the estimate 1 puts the root 1 - 2^-44
-    # on its window's lower end, which signs 0 and is an exact root; with a
-    # separator that is not finite the fallback finds it too
+    # on its window's lower end, which signs 0 and is an exact root; with
+    # another estimate that is not finite the fallback finds it too
     calls = _count_fallbacks(monkeypatch)
     big = 2**44
     f = ExactPolynomial((3 * (big - 1), 1 - 4 * big, big))
     root = Fraction(big - 1, big)
     tol = zeros.DEFAULT_TOL
-    for separator, fallbacks in ((2.0, 0), (math.nan, 1)):
-        enc = isolate_zeros(f, tol, hints=[1.0, separator, 3.0])
+    for other, fallbacks in ((3.0, 0), (math.nan, 1)):
+        enc = isolate_zeros(f, tol, hints=[1.0, other])
         check_enclosures(f, enc, tol)
         assert (enc[0].lo, enc[0].hi) == (root, root)
-        assert enc[1].lo < 3 < enc[1].hi
+        assert enc[1].lo <= 3 <= enc[1].hi
         assert len(calls) == fallbacks
 
 
 def test_fallback_keeps_its_windows(monkeypatch):
     # r=2 nu=(50,50) n=100 falls back to Descartes; its brackets still take
-    # the windows, which the failed certificate has signed already: 1 573
+    # the windows, which the failed certificate has signed already: 1 583
     # signs, against 1 414 with windows in the refinement and 1 704 with no
     # windows in the fallback; the bound is 1 414 + 2n
     calls = _count_fallbacks(monkeypatch)
@@ -282,24 +285,23 @@ def test_fallback_keeps_its_windows(monkeypatch):
 
 def test_fallback_when_separators_are_not_usable(monkeypatch):
     calls = _count_fallbacks(monkeypatch)
-    # the fallback still signs the estimates' windows inside its Descartes
-    # brackets, so its enclosures are proven and overlap the hint-free
-    # ones, not equal to them
+    # estimates that are not strictly increasing or not finite give no
+    # separators; the fallback still signs the finite estimates' windows
+    # inside its Descartes brackets, so its enclosures are proven and
+    # overlap the hint-free ones, not equal to them
     params = ModelParams(2, (1, 0), 12)
     f = _rescaled(params)
     hints = zero_hints(params)
-    seps = list(hints[1::2])
+    est = list(hints)
     tol = Fraction(1, 2**30)
     want = isolate_zeros(f, tol)
     assert len(calls) == 1
-    unsorted = seps[:]
+    unsorted = est[:]
     unsorted[3], unsorted[4] = unsorted[4], unsorted[3]
-    repeated = seps[:-1] + [seps[-2]]
-    not_finite = (seps[:5] + [math.nan] + seps[6:], seps[:-1] + [math.inf])
+    repeated = est[:-1] + [est[-2]]
+    not_finite = (est[:5] + [math.nan] + est[6:], est[:-1] + [math.inf])
     for bad in (unsorted, repeated, *not_finite):
-        mixed = hints.copy()
-        mixed[1::2] = bad
-        got = isolate_zeros(f, tol, hints=mixed)
+        got = isolate_zeros(f, tol, hints=bad)
         check_enclosures(f, got, tol)
         for a, b in zip(want, got):
             assert a.lo <= b.hi and b.lo <= a.hi
@@ -334,8 +336,7 @@ def test_estimates_are_only_hints():
     # a bad estimate costs evaluations, never a wrong or missing enclosure
     params = ModelParams(3, (1, 2, 3), 30)
     f = _rescaled(params)
-    hints = zero_hints(params)
-    seps, est = hints[1::2], hints[0::2]
+    est = zero_hints(params)
     n = params.n
     tol = Fraction(1, 2**30)
     bad = (
@@ -348,12 +349,10 @@ def test_estimates_are_only_hints():
         est * (1 + 1e-3),
     )
     for estimates in bad:
-        # with the separators (seeded) and with unusable ones (Descartes)
-        for s in (seps, np.full(n - 1, math.nan)):
-            mixed = np.empty(2 * n - 1)
-            mixed[0::2], mixed[1::2] = estimates, s
+        # as given, and with the last one not finite, which forces Descartes
+        for mixed in (estimates, np.append(estimates[:-1], math.nan)):
             check_enclosures(f, isolate_zeros(f, tol, hints=mixed), tol)
-    for wrong in (hints[1:], list(hints) + [1.0], [], hints[:, None]):
+    for wrong in (est[1:], list(est) + [1.0], [], est[:, None]):
         with pytest.raises(DomainError):
             isolate_zeros(f, tol, hints=wrong)
     # a constant takes the empty array, and no other
@@ -439,12 +438,14 @@ def _count_evaluations(monkeypatch, module=zeros, name="_value"):
 def test_estimates_cut_evaluations_per_root(monkeypatch):
     # the six `fctk zeros --ks` jobs of the benchmark, whose estimates
     # rescaled_zeros polishes by Newton passes on the recurrence: the
-    # certificate signs the n + 1 separators and two window ends per root,
-    # 3.01 signs per root, and 3.19 at r=3 nu=(1,2,3), where 2 windows miss
-    # and QIR runs from the part of the gap their signs prove (9.5-11.8 per
-    # root from the cosine estimates alone, without the windows); every one
-    # is certified by the bounded Horner, none needs the exact one.  The estimates are the same doubles on every machine (no
-    # BLAS in _predicted_zeros), so the counts are too.
+    # certificate signs 0, the n - 1 midpoints of consecutive estimates, the
+    # root bound and two window ends per root, 3.01 signs per root, and
+    # 3.20 at r=3 nu=(1,2,3), where 2 windows miss and QIR runs from the
+    # part of the gap their signs prove (9.5-11.8 per root from the cosine
+    # estimates alone, without the windows); every one is certified by the
+    # bounded Horner, none needs the exact one.  The estimates are the same
+    # doubles on every machine (no BLAS in _predicted_zeros), so the counts
+    # are too.
     calls = _count_evaluations(monkeypatch)
     exact = _count_evaluations(monkeypatch, poly, "_horner")
     n, tol = 100, Fraction(1, 10**12)
@@ -466,28 +467,44 @@ def test_estimates_cut_evaluations_per_root(monkeypatch):
     assert exact[0] == 1
 
 
+def test_hit_windows_keep_their_bits(monkeypatch):
+    # below the window width 2^-43, QIR continues a hit window from the
+    # bits it gained over its gap, so its first grid has 2^4 cells: r=1
+    # nu=0 n=100 takes 855 and 865 signs at tol 2^-60 and 2^-70, against
+    # 1 068 and 1 272 when a hit window starts with nothing gained
+    calls = _count_evaluations(monkeypatch)
+    params = ModelParams(1, (0,), 100)
+    for k, most in ((60, 855), (70, 865)):
+        tol = Fraction(1, 2**k)
+        calls[0] = 0
+        enclosures = zeros.rescaled_zeros(params, tol)
+        assert calls[0] <= most, (k, calls[0])
+        check_enclosures(_rescaled(params), enclosures, tol)
+
+
 def test_predicted_zeros():
     params = ModelParams(2, (1, 0), 12)
     hints = zero_hints(params)
     before = hints.tobytes()
     predicted = zeros._predicted_zeros(params, hints)
     assert hints.tobytes() == before  # zero_hints' own array is not touched
-    assert np.array_equal(predicted[1::2], hints[1::2])
+    assert predicted.shape == hints.shape
     roots = isolate_zeros(_rescaled(params), Fraction(1, 2**60))
-    assert all(abs(x - float(e.mid)) < 2.0**-44 for x, e in zip(predicted[0::2], roots))
+    assert all(abs(x - float(e.mid)) < 2.0**-44 for x, e in zip(predicted, roots))
     # a step that overflows (the top estimate far out) or is nan (a nan
-    # estimate) is rejected, and the other columns are not disturbed
+    # estimate) is rejected; the nan also leaves its neighbour without a
+    # gap, and the other columns are not disturbed
     bad = hints.copy()
     bad[-1], bad[0] = 1e300, math.nan
     got = zeros._predicted_zeros(params, bad)
-    assert got[-1] == 1e300 and math.isnan(got[0])
-    assert np.array_equal(got[2:-1:2], predicted[2:-1:2])
+    assert got[-1] == 1e300 and math.isnan(got[0]) and got[1] == hints[1]
+    assert np.array_equal(got[2:-1], predicted[2:-1])
     tol = Fraction(1, 2**30)
     check_enclosures(_rescaled(params), isolate_zeros(_rescaled(params), tol, hints=got), tol)
-    # an estimate at a separator, where the slope nearly vanishes, takes
-    # steps that leave its gap, so it stays where it is
-    far = hints.copy()
-    far[2] = hints[1] * (1 + 1e-12)
+    # a second estimate just above a converged one steps toward that root,
+    # below the midpoint that bounds its gap, so it stays where it is
+    far = predicted.copy()
+    far[2] = predicted[1] * (1 + 1e-12)
     assert zeros._predicted_zeros(params, far)[2] == far[2]
 
 
